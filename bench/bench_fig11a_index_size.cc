@@ -46,7 +46,7 @@ void BM_IndexSize(benchmark::State& state, bool dblp) {
       sequences.emplace_back(
           i + 1, BuildSequence(*doc.root(), (*vist_index)->symbols()));
     }
-    RistOptions rist_options;
+    StoreOptions rist_options;
     rist_options.page_size = 2048;
     auto rist = RistIndex::Build(scratch.Sub("rist"), sequences,
                                  (*vist_index)->symbols(), rist_options);

@@ -87,8 +87,8 @@ Engines BuildEngines(const std::string& name, bool dblp, int records) {
     CheckOk(engines.nodes->InsertDocument(*doc.root(), id), "node insert");
     sequences.emplace_back(id, std::move(seq));
   }
-  auto rist = RistIndex::Build(engines.scratch->Sub("rist"), sequences,
-                               symtab, RistOptions{});
+  auto rist =
+      RistIndex::Build(engines.scratch->Sub("rist"), sequences, symtab);
   CheckOk(rist.status(), "build rist");
   engines.rist = std::move(rist).value();
   return engines;

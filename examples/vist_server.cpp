@@ -112,15 +112,15 @@ int main(int argc, char** argv) {
               vist_index.status().ToString().c_str());
       return 1;
     }
-    auto path_index = vist::PathIndex::Create(
-        dir + "/paths", (*vist_index)->symbols(), vist::PathIndexOptions());
+    auto path_index =
+        vist::PathIndex::Create(dir + "/paths", (*vist_index)->symbols());
     if (!path_index.ok()) {
       fprintf(stderr, "create %s/paths: %s\n", dir.c_str(),
               path_index.status().ToString().c_str());
       return 1;
     }
-    auto node_index = vist::NodeIndex::Create(
-        dir + "/nodes", (*vist_index)->symbols(), vist::NodeIndexOptions());
+    auto node_index =
+        vist::NodeIndex::Create(dir + "/nodes", (*vist_index)->symbols());
     if (!node_index.ok()) {
       fprintf(stderr, "create %s/nodes: %s\n", dir.c_str(),
               node_index.status().ToString().c_str());

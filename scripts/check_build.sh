@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite, then
 # the static-analysis gate (clang -Wthread-safety build + clang-tidy; skips
-# itself when clang is absent) and the sanitizer passes (ASan/UBSan over the
+# itself when clang is absent), the invariant linter, the benchmark's
+# self-check, and the sanitizer passes (ASan/UBSan over the
 # fault-tolerance surface, TSan over the concurrent read path).
 # VIST_SKIP_STATIC=1 skips the static gate; VIST_SKIP_SANITIZERS=1 skips the
 # sanitizer passes.
@@ -29,8 +30,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L faults
 # Differential-oracle suite: the router vs. every bare engine over
 # thousands of seeded queries (tests/exec/router_oracle_test.cc). ctest
 # treats a label matching zero tests as success, so guard against the
-# label silently vanishing before rerunning it by name.
-if ! ctest --test-dir "$BUILD_DIR" -N -L differential | grep -q "Test #"; then
+# label silently vanishing before rerunning it by name. (grep reads the
+# whole listing: `grep -q` would exit at the first match and, under
+# pipefail, fail the pipeline on ctest's SIGPIPE.)
+if ! ctest --test-dir "$BUILD_DIR" -N -L differential | grep "Test #" >/dev/null; then
   echo "check_build.sh: no tests carry the 'differential' label" >&2
   exit 1
 fi
@@ -45,6 +48,14 @@ fi
 # unavailable; not a failure of the tree). Also part of the ctest run
 # above as invariants_gate/lint_mutant_test (label: lint).
 scripts/check_invariants.sh || { rc=$?; [[ $rc -eq 77 ]] || exit $rc; }
+
+# The repository benchmark (perfbench/) compiles its own copy of src/, so
+# an API change that breaks it fails here rather than only in a benchmark
+# run. --self-check runs every workload at 5% scale and checks the answers
+# and the metric names against BENCHMARK.json (exit 77 = python3
+# unavailable; not a failure of the tree).
+(command -v python3 >/dev/null 2>&1 || exit 77
+ python3 perfbench/run.py --self-check) || { rc=$?; [[ $rc -eq 77 ]] || exit $rc; }
 
 if [[ "${VIST_SKIP_SANITIZERS:-0}" != "1" ]]; then
   scripts/check_sanitizers.sh

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ViST invariant gate: runs the project-specific linter (scripts/vist_lint.py
-# — raw-mutex ban, epoch-bump discipline, IgnoreError justifications,
-# WireStatus/StatusCode switch exhaustiveness) and verifies the lock-order
+# — raw-mutex ban, IgnoreError justifications, WireStatus/StatusCode switch
+# exhaustiveness, snapshot-pin encapsulation) and verifies the lock-order
 # table in docs/CONCURRENCY.md matches src/common/lock_ranks.h, both
 # directions. When a lockdep edge-graph dump is supplied (--edges FILE, or
 # $VIST_LOCKDEP_EDGES), the observed runtime acquisition order is also

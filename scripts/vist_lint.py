@@ -12,15 +12,6 @@ docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
                    see every acquisition. Per-line escape hatch:
                    `vist-lint: allow-raw-mutex — <reason>`.
 
-  [epoch-bump]     Every mutating QueryableIndex entry point — lexically,
-                   every WriterLock scope in the engine implementation
-                   files — calls BumpEpoch() exactly once under the lock.
-                   CachingIndex invalidation and Router cutover both key
-                   off the epoch; a missed bump is the FrozenEpochIndex
-                   bug class, a double bump wastes the whole cache twice.
-                   Intentional non-mutating writer sections carry
-                   `vist-lint: no-epoch-bump(<reason>)`.
-
   [ignore-error]   Every vist::IgnoreError call site carries a
                    justification comment on the same line or within
                    JUSTIFICATION_WINDOW lines above it.
@@ -80,17 +71,6 @@ from pathlib import Path
 # (calibrated to src/server/server.cc, where a counter line separates the
 # comment from the call).
 JUSTIFICATION_WINDOW = 3
-
-# [epoch-bump] applies to the QueryableIndex implementations — the files
-# whose WriterLock sections are mutation entry points. Keep in sync with
-# the engine list in src/exec/router.h.
-EPOCH_RULE_FILES = [
-    "src/vist/vist_index.cc",
-    "src/baseline/path_index.cc",
-    "src/baseline/node_index.cc",
-    "src/exec/router.cc",
-    "src/exec/caching_index.cc",
-]
 
 # [raw-mutex]: the two files allowed to touch the std types — the wrapper
 # itself, and the lockdep core (which cannot be built on the wrappers it
@@ -191,16 +171,6 @@ def match_braces(text):
     return pairs
 
 
-def enclosing_block(pairs, pos):
-    """Innermost {open, close} brace pair containing `pos`."""
-    best = None
-    for open_pos, close_pos in pairs.items():
-        if open_pos < pos < close_pos:
-            if best is None or open_pos > best[0]:
-                best = (open_pos, close_pos)
-    return best
-
-
 def iter_source_files(root):
     for top in SCAN_DIRS:
         base = root / top
@@ -234,49 +204,6 @@ def check_raw_mutex(root, path, original_lines, stripped):
             "common/mutex.h (rank-checked under VIST_DEADLOCK_DEBUG); "
             "annotate `vist-lint: allow-raw-mutex` with a reason if this "
             "site truly cannot"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# [epoch-bump]
-
-WRITER_LOCK_RE = re.compile(r"\bWriterLock\s+\w+\s*\(")
-BUMP_RE = re.compile(r"\bBumpEpoch\s*\(\s*\)")
-NO_BUMP_ANNOTATION = "vist-lint: no-epoch-bump("
-
-
-def check_epoch_bump(root, path, original_lines, stripped):
-    findings = []
-    pairs = match_braces(stripped)
-    for match in WRITER_LOCK_RE.finditer(stripped):
-        line = line_of(stripped, match.start())
-        block = enclosing_block(pairs, match.start())
-        scope_end = block[1] if block else len(stripped)
-        bumps = len(BUMP_RE.findall(stripped[match.start():scope_end]))
-        # The annotation may sit on the acquisition line or just above it.
-        window = original_lines[max(0, line - 1 - JUSTIFICATION_WINDOW):line]
-        annotated = any(NO_BUMP_ANNOTATION in ln for ln in window)
-        if annotated:
-            if bumps > 0:
-                findings.append(Finding(
-                    "epoch-bump", rel(root, path), line,
-                    "writer section annotated no-epoch-bump but calls "
-                    "BumpEpoch()"))
-            continue
-        if bumps == 0:
-            findings.append(Finding(
-                "epoch-bump", rel(root, path), line,
-                "WriterLock scope never calls BumpEpoch() — mutations must "
-                "bump the epoch exactly once under the writer lock "
-                "(CachingIndex and Router invalidation depend on it); "
-                "annotate `vist-lint: no-epoch-bump(<reason>)` if this "
-                "writer section intentionally mutates nothing"))
-        elif bumps > 1:
-            findings.append(Finding(
-                "epoch-bump", rel(root, path), line,
-                f"WriterLock scope calls BumpEpoch() {bumps} times — "
-                "exactly once per mutation, or caches are invalidated "
-                "spuriously"))
     return findings
 
 
@@ -613,9 +540,6 @@ def run_lint(root, engine):
         original_lines = text.splitlines()
         stripped = strip_comments_and_strings(text)
         findings += check_raw_mutex(root, path, original_lines, stripped)
-        if rel(root, path) in EPOCH_RULE_FILES:
-            findings += check_epoch_bump(root, path, original_lines,
-                                         stripped)
         findings += check_ignore_error(root, path, original_lines, stripped)
         findings += check_status_switches(root, path, stripped, enums)
         findings += check_snapshot_pin(root, path, original_lines, stripped)

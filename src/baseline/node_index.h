@@ -18,27 +18,17 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "exec/queryable_index.h"
 #include "obs/query_profile.h"
 #include "query/path_expr.h"
 #include "seq/symbol_table.h"
 #include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
 #include "storage/version.h"
+#include "storage/versioned_store.h"
 #include "xml/node.h"
 
 namespace vist {
-
-struct NodeIndexOptions {
-  uint32_t page_size = 4096;
-  size_t buffer_pool_pages = 1024;
-  DurabilityLevel durability = DurabilityLevel::kProcessCrash;
-  Env* env = nullptr;  // null: Env::Default(); must outlive the index
-};
 
 /// NodeIndex's pinned read view: one published Version plus the region
 /// tree resolved from it.
@@ -48,18 +38,18 @@ class NodeSnapshot : public Snapshot {
 
  private:
   friend class NodeIndex;
-  NodeSnapshot() = default;
+  explicit NodeSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const class NodeIndex* owner_ = nullptr;
   std::shared_ptr<const Version> version_;
   BTreeView tree_;
 };
 
 // Threading: same contract as VistIndex (docs/CONCURRENCY.md "Snapshots")
 // so the Table-4 comparison measures index structure, not lock shape —
-// mutations serialize behind the writer lock and commit as copy-on-write
-// version installs; queries take no lock, pinning the current version
-// instead, so a reader never waits on an in-flight writer.
+// mutations serialize behind the writer lock (QueryableIndex::Mutate) and
+// commit as copy-on-write version installs (VersionedStore::Write);
+// queries take no lock, pinning the current version instead, so a reader
+// never waits on an in-flight writer.
 class NodeIndex : public QueryableIndex {
  public:
   /// Creates an empty node index in `dir`. Names are interned into the
@@ -67,7 +57,7 @@ class NodeIndex : public QueryableIndex {
   /// which must outlive the index.
   static Result<std::unique_ptr<NodeIndex>> Create(
       const std::string& dir, SymbolTable* symtab,
-      const NodeIndexOptions& options = {});
+      const StoreOptions& options = {});
 
   NodeIndex(const NodeIndex&) = delete;
   NodeIndex& operator=(const NodeIndex&) = delete;
@@ -114,9 +104,7 @@ class NodeIndex : public QueryableIndex {
     return last_query_joins_.load(std::memory_order_relaxed);
   }
 
-  uint64_t size_bytes() const {
-    return pager_->page_count() * pager_->page_size();
-  }
+  uint64_t size_bytes() const { return store_->size_bytes(); }
 
  private:
   /// One region-labeled node occurrence.
@@ -131,20 +119,15 @@ class NodeIndex : public QueryableIndex {
     }
   };
 
-  NodeIndex(SymbolTable* symtab, NodeIndexOptions options)
-      : symtab_(symtab), options_(options) {}
+  explicit NodeIndex(SymbolTable* symtab) : symtab_(symtab) {}
 
-  /// Writer-side bodies, run inside an open write transaction.
-  Status InsertDocumentImpl(const xml::Node& root, uint64_t doc_id)
-      VIST_REQUIRES(mu_);
-  Status DeleteDocumentImpl(const xml::Node& root, uint64_t doc_id)
-      VIST_REQUIRES(mu_);
+  /// Writer-side bodies, run inside a VersionedStore::Write transaction
+  /// under the writer lock.
+  Status InsertDocumentImpl(const xml::Node& root, uint64_t doc_id);
+  Status DeleteDocumentImpl(const xml::Node& root, uint64_t doc_id);
 
   /// Pins the current version and builds its tree view (never fails).
   std::shared_ptr<const NodeSnapshot> PinSnapshot() const;
-  /// options.snapshot when set (validated to be ours), else PinSnapshot().
-  Result<std::shared_ptr<const NodeSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
 
   /// Region-labels `root` exactly as indexing does — start = preorder
   /// rank, end = rank of the last descendant, level = depth, values
@@ -165,7 +148,7 @@ class NodeIndex : public QueryableIndex {
                                          uint64_t* joins,
                                          DeadlineChecker* checker);
 
-  Status PutRegion(Symbol symbol, const Region& region) VIST_REQUIRES(mu_);
+  Status PutRegion(Symbol symbol, const Region& region);
   Result<std::vector<Region>> FetchSymbol(const NodeSnapshot& snap,
                                           Symbol symbol,
                                           DeadlineChecker* checker);
@@ -180,17 +163,9 @@ class NodeIndex : public QueryableIndex {
       const std::vector<Region>& parents, const std::vector<Region>& children,
       bool parent_child, uint64_t* joins, DeadlineChecker* checker);
 
-  /// Writer lock: serializes mutations against each other; queries never
-  /// touch it (they pin versions instead).
-  mutable SharedMutex mu_{LockRank::kIndexWriter};
-
   SymbolTable* symtab_;
-  NodeIndexOptions options_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
-  std::unique_ptr<BTree> tree_;
+  std::unique_ptr<VersionedStore> store_;
+  BTree* tree_ = nullptr;  // owned by store_
   std::atomic<uint64_t> last_query_joins_{0};
 };
 

@@ -146,92 +146,61 @@ class PathQueryPlan : public QueryPlan {
 
 }  // namespace
 
-PathIndex::PathIndex(const SymbolTable* symtab, PathIndexOptions options)
-    : symtab_(symtab), options_(options) {
+PathIndex::PathIndex(const SymbolTable* symtab) : symtab_(symtab) {
   refined_.Store(std::make_shared<const std::vector<RefinedPath>>());
 }
 
 Result<std::unique_ptr<PathIndex>> PathIndex::Create(
     const std::string& dir, const SymbolTable* symtab,
-    const PathIndexOptions& options) {
+    const StoreOptions& options) {
   VIST_CHECK(symtab != nullptr);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::IOError("cannot create directory " + dir);
-  std::unique_ptr<PathIndex> index(new PathIndex(symtab, options));
-  PagerOptions pager_options;
-  pager_options.page_size = options.page_size;
-  pager_options.durability = options.durability;
-  pager_options.env = options.env;
-  VIST_ASSIGN_OR_RETURN(index->pager_,
-                        Pager::Open(dir + "/paths.db", pager_options));
-  const size_t pool_pages = std::max<size_t>(options.buffer_pool_pages, 256);
-  index->pool_ =
-      std::make_unique<BufferPool>(index->pager_.get(), pool_pages);
-  index->versions_ = std::make_unique<VersionManager>(index->pager_.get(),
-                                                      index->pool_.get());
-  index->versions_->Bootstrap();
-  index->versions_->BeginWrite();
-  auto created = BTree::Create(index->pager_.get(), index->pool_.get(),
-                               index->versions_.get(), kTreeSlot);
-  if (created.ok()) {
-    index->tree_ = std::move(*created);
-    VIST_RETURN_IF_ERROR(index->versions_->Commit(/*epoch=*/0));
-  } else {
-    index->versions_->Abort();
-    return created.status();
-  }
+  std::unique_ptr<PathIndex> index(new PathIndex(symtab));
+  VIST_ASSIGN_OR_RETURN(index->store_,
+                        VersionedStore::Open(dir + "/paths.db", options));
+  VIST_RETURN_IF_ERROR(index->store_->Write(/*epoch=*/0, [&]() -> Status {
+    VIST_ASSIGN_OR_RETURN(index->tree_, index->store_->CreateTree(kTreeSlot));
+    return Status::OK();
+  }));
   return index;
 }
 
 Status PathIndex::AddRefinedPath(std::string_view path) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  query::CompileOptions compile_options;
-  compile_options.max_alternatives = options_.max_alternatives;
-  auto compiled = query::CompilePath(path, *symtab_, compile_options);
-  Status s = compiled.status();
-  if (s.ok()) {
-    auto current = refined_.Load();
-    auto next = std::make_shared<std::vector<RefinedPath>>(*current);
-    RefinedPath refined;
-    refined.pattern = std::string(path);
-    refined.compiled = std::move(*compiled);
-    refined.id = static_cast<uint32_t>(next->size());
-    next->push_back(std::move(refined));
-    // Swap the list before committing the (slot-less) version so any
-    // snapshot that pins the new version also sees the new list; a pin
-    // racing ahead of an unreturned AddRefinedPath is linearizable.
-    refined_.Store(std::move(next));
-    // Commit publishes a fresh Version even though no page changed, so the
-    // snapshot epoch still distinguishes pre- from post-registration state.
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    // The write publishes a fresh Version even though no page changes, so
+    // the snapshot epoch still tells pre- from post-registration state.
+    return store_->Write(epoch, [&]() -> Status {
+      VIST_ASSIGN_OR_RETURN(query::CompiledQuery compiled,
+                            query::CompilePath(path, *symtab_));
+      auto next = std::make_shared<std::vector<RefinedPath>>(*refined_.Load());
+      RefinedPath refined;
+      refined.pattern = std::string(path);
+      refined.compiled = std::move(compiled);
+      refined.id = static_cast<uint32_t>(next->size());
+      next->push_back(std::move(refined));
+      // Swap the list before the version installs so any snapshot that
+      // pins the new version also sees the new list; a pin racing ahead
+      // of an unreturned AddRefinedPath is linearizable.
+      refined_.Store(std::move(next));
+      return Status::OK();
+    });
+  });
 }
 
 Status PathIndex::InsertSequence(const Sequence& sequence, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = InsertSequenceImpl(sequence, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  // Install-then-bump (the QueryableIndex epoch contract).
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    return store_->Write(epoch,
+                         [&] { return InsertSequenceImpl(sequence, doc_id); });
+  });
 }
 
 Status PathIndex::InsertSequenceImpl(const Sequence& sequence,
                                      uint64_t doc_id) {
-  versions_->SetWorkingSlot(kNumDocumentsSlot,
-                            versions_->WorkingSlot(kNumDocumentsSlot) + 1);
-  uint64_t max_depth = versions_->WorkingSlot(kMaxDepthSlot);
+  store_->SetWorkingSlot(kNumDocumentsSlot,
+                         store_->WorkingSlot(kNumDocumentsSlot) + 1);
+  uint64_t max_depth = store_->WorkingSlot(kMaxDepthSlot);
   std::vector<Symbol> path;
   for (const SequenceElement& element : sequence) {
     path = element.prefix;
@@ -240,7 +209,7 @@ Status PathIndex::InsertSequenceImpl(const Sequence& sequence,
         tree_->Put(EncodePathEntryKey(path, doc_id), Slice()));
     max_depth = std::max<uint64_t>(max_depth, path.size());
   }
-  versions_->SetWorkingSlot(kMaxDepthSlot, max_depth);
+  store_->SetWorkingSlot(kMaxDepthSlot, max_depth);
   // Refined-path maintenance: every registered pattern is evaluated
   // against every inserted document.
   auto refined = refined_.Load();
@@ -255,22 +224,16 @@ Status PathIndex::InsertSequenceImpl(const Sequence& sequence,
 }
 
 Status PathIndex::DeleteSequence(const Sequence& sequence, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = DeleteSequenceImpl(sequence, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    return store_->Write(epoch,
+                         [&] { return DeleteSequenceImpl(sequence, doc_id); });
+  });
 }
 
 Status PathIndex::DeleteSequenceImpl(const Sequence& sequence,
                                      uint64_t doc_id) {
-  const uint64_t docs = versions_->WorkingSlot(kNumDocumentsSlot);
-  if (docs > 0) versions_->SetWorkingSlot(kNumDocumentsSlot, docs - 1);
+  const uint64_t docs = store_->WorkingSlot(kNumDocumentsSlot);
+  if (docs > 0) store_->SetWorkingSlot(kNumDocumentsSlot, docs - 1);
   std::vector<Symbol> path;
   for (const SequenceElement& element : sequence) {
     path = element.prefix;
@@ -292,26 +255,11 @@ Status PathIndex::DeleteSequenceImpl(const Sequence& sequence,
 }
 
 std::shared_ptr<const PathSnapshot> PathIndex::PinSnapshot() const {
-  std::shared_ptr<PathSnapshot> snap(new PathSnapshot());
-  snap->owner_ = this;
-  snap->version_ = versions_->Pin();
+  std::shared_ptr<PathSnapshot> snap(new PathSnapshot(this));
+  snap->version_ = store_->Pin();
   snap->tree_ = tree_->ViewAt(*snap->version_);
   snap->refined_ = refined_.Load();
   return snap;
-}
-
-Result<std::shared_ptr<const PathSnapshot>> PathIndex::ResolveSnapshot(
-    const QueryOptions& options) const {
-  if (options.snapshot == nullptr) return PinSnapshot();
-  const auto* snap = dynamic_cast<const PathSnapshot*>(options.snapshot);
-  if (snap == nullptr || snap->owner_ != this) {
-    return Status::InvalidArgument(
-        "QueryOptions::snapshot was not issued by this PathIndex");
-  }
-  // Borrowed: the caller keeps the owning shared_ptr alive for the call
-  // (QueryOptions contract), so a non-owning alias is sound here.
-  return std::shared_ptr<const PathSnapshot>(
-      std::shared_ptr<const PathSnapshot>(), snap);
 }
 
 Result<std::shared_ptr<const Snapshot>> PathIndex::GetSnapshot() {
@@ -408,8 +356,9 @@ Result<std::vector<uint64_t>> PathIndex::QueryWithPlan(
   }
   // Lock-free: the whole query — posting-list check included — reads one
   // pinned version.
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const PathSnapshot> snap,
-                        ResolveSnapshot(options));
+  VIST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PathSnapshot> snap,
+      ResolveSnapshot<PathSnapshot>(options, [this] { return PinSnapshot(); }));
   obs::ProfileScope scope(profile);
   DeadlineChecker checker(options.deadline);
   uint64_t query_joins = 0;
@@ -487,21 +436,14 @@ Result<std::vector<uint64_t>> PathIndex::EvalLeafPatterns(
 Result<IndexStats> PathIndex::Stats() {
   std::shared_ptr<const PathSnapshot> snap = PinSnapshot();
   IndexStats stats;
-  stats.size_bytes = pager_->page_count() * pager_->page_size();
+  stats.size_bytes = store_->size_bytes();
   stats.num_documents = snap->version_->slots[kNumDocumentsSlot];
   stats.max_depth = snap->version_->slots[kMaxDepthSlot];
   return stats;
 }
 
 Status PathIndex::Flush() {
-  WriterLock lock(mu_);
-  // Return limbo pages whose last pinning reader has departed before
-  // syncing, so the durable freelist accounts for them.
-  Status s = versions_->ReclaimEligible();
-  if (s.ok()) s = pool_->FlushAll();
-  if (s.ok()) s = pager_->Sync();
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t) { return store_->Flush(); });
 }
 
 }  // namespace vist

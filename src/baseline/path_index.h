@@ -29,28 +29,17 @@
 #include <vector>
 
 #include "common/atomic_shared_ptr.h"
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "exec/queryable_index.h"
 #include "obs/query_profile.h"
 #include "query/query_sequence.h"
 #include "seq/sequence.h"
 #include "seq/symbol_table.h"
 #include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
 #include "storage/version.h"
+#include "storage/versioned_store.h"
 
 namespace vist {
-
-struct PathIndexOptions {
-  uint32_t page_size = 4096;
-  size_t buffer_pool_pages = 1024;
-  size_t max_alternatives = 64;
-  DurabilityLevel durability = DurabilityLevel::kProcessCrash;
-  Env* env = nullptr;  // null: Env::Default(); must outlive the index
-};
 
 /// A registered refined path: the exact query string and its compiled
 /// form, evaluated against every inserted document.
@@ -68,9 +57,8 @@ class PathSnapshot : public Snapshot {
 
  private:
   friend class PathIndex;
-  PathSnapshot() = default;
+  explicit PathSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const class PathIndex* owner_ = nullptr;
   std::shared_ptr<const Version> version_;
   BTreeView tree_;
   std::shared_ptr<const std::vector<RefinedPath>> refined_;
@@ -78,16 +66,17 @@ class PathSnapshot : public Snapshot {
 
 // Threading: same contract as VistIndex (docs/CONCURRENCY.md "Snapshots")
 // so the Table-4 comparison measures index structure, not lock shape —
-// mutations serialize behind the writer lock and commit as copy-on-write
-// version installs; queries take no lock, pinning the current version
-// instead, so a reader never waits on an in-flight writer.
+// mutations serialize behind the writer lock (QueryableIndex::Mutate) and
+// commit as copy-on-write version installs (VersionedStore::Write);
+// queries take no lock, pinning the current version instead, so a reader
+// never waits on an in-flight writer.
 class PathIndex : public QueryableIndex {
  public:
   /// Creates an empty path index in `dir`. The caller's symbol table is
   /// borrowed for query compilation and must outlive the index.
   static Result<std::unique_ptr<PathIndex>> Create(
       const std::string& dir, const SymbolTable* symtab,
-      const PathIndexOptions& options = {});
+      const StoreOptions& options = {});
 
   PathIndex(const PathIndex&) = delete;
   PathIndex& operator=(const PathIndex&) = delete;
@@ -154,24 +143,18 @@ class PathIndex : public QueryableIndex {
     return last_query_joins_.load(std::memory_order_relaxed);
   }
 
-  uint64_t size_bytes() const {
-    return pager_->page_count() * pager_->page_size();
-  }
+  uint64_t size_bytes() const { return store_->size_bytes(); }
 
  private:
-  PathIndex(const SymbolTable* symtab, PathIndexOptions options);
+  explicit PathIndex(const SymbolTable* symtab);
 
-  /// Writer-side bodies, run inside an open write transaction.
-  Status InsertSequenceImpl(const Sequence& sequence, uint64_t doc_id)
-      VIST_REQUIRES(mu_);
-  Status DeleteSequenceImpl(const Sequence& sequence, uint64_t doc_id)
-      VIST_REQUIRES(mu_);
+  /// Writer-side bodies, run inside a VersionedStore::Write transaction
+  /// under the writer lock.
+  Status InsertSequenceImpl(const Sequence& sequence, uint64_t doc_id);
+  Status DeleteSequenceImpl(const Sequence& sequence, uint64_t doc_id);
 
   /// Pins the current version plus the refined list (never fails).
   std::shared_ptr<const PathSnapshot> PinSnapshot() const;
-  /// options.snapshot when set (validated to be ours), else PinSnapshot().
-  Result<std::shared_ptr<const PathSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
 
   /// Plan body: evaluates each leaf-path pattern against `snap` and
   /// intersects (joins) the doc-id sets. Join count goes to `*joins`
@@ -193,21 +176,14 @@ class PathIndex : public QueryableIndex {
   Result<std::vector<uint64_t>> ReadRefinedPosting(const PathSnapshot& snap,
                                                    uint32_t refined_id);
 
-  /// Writer lock: serializes mutations against each other; queries never
-  /// touch it (they pin versions instead).
-  mutable SharedMutex mu_{LockRank::kIndexWriter};
-
   const SymbolTable* symtab_;
-  PathIndexOptions options_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
-  std::unique_ptr<BTree> tree_;
+  std::unique_ptr<VersionedStore> store_;
+  BTree* tree_ = nullptr;  // owned by store_
   std::atomic<uint64_t> last_query_joins_{0};
 
   /// Copy-on-write refined-path list: writers replace the whole vector
-  /// under mu_; readers (and snapshots) grab the current one lock-free.
+  /// under the writer lock; readers (and snapshots) grab the current one
+  /// lock-free.
   AtomicSharedPtr<const std::vector<RefinedPath>> refined_;
   std::atomic<uint64_t> refined_maintenance_checks_{0};
 };

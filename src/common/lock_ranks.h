@@ -43,11 +43,11 @@ inline constexpr uint32_t kLockRankFlagUnordered = 1;
   X(kTestHarness,     5,  kLockRankFlagNone,                                 \
     "test/bench harness locks wrapping whole-index operations")              \
   X(kRouter,          10, kLockRankFlagNone,                                 \
-    "exec::Router::mu_ — routing lock; serializes the mutation fan-out "     \
-    "and the shared symbol table")                                           \
+    "exec::Router's writer lock (QueryableIndex::Mutate) — serializes the "  \
+    "mutation fan-out and the shared symbol table")                          \
   X(kIndexWriter,     20, kLockRankFlagNone,                                 \
-    "engine writer lock: VistIndex::mu_ and the baselines' mu_ — "           \
-    "serializes mutators only; snapshot readers never take it")              \
+    "engine writer lock (QueryableIndex::Mutate in VistIndex and the "       \
+    "baselines) — serializes mutators only; snapshot readers never take it") \
   X(kSymbolTable,     24, kLockRankFlagNone,                                 \
     "seq::SymbolTable::mu_ — the append-only name table's internal "        \
     "reader/writer lock; taken under an engine writer lock by Intern")       \

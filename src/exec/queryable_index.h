@@ -11,14 +11,16 @@
 //   * `Stats()` / `Flush()`         — introspection and durability
 //   * `epoch()`                     — mutation counter for cache validity
 //
-// The epoch contract: every public mutating entry point bumps the epoch
-// exactly once per writer section, at the *end* of the section — strictly
-// after the mutation's new version is installed (VersionManager::Commit)
-// or rolled back, and before the writer lock is released. Install-then-
-// bump means two equal epoch reads bracket a window in which the set of
-// published versions did not shrink to exclude what either read saw: any
-// snapshot pinned inside that window belongs to a version the epoch
-// names, which is exactly what exec::CachingIndex's result-cache
+// The epoch contract: every public mutating entry point runs its body
+// through the protected `Mutate`, which holds the writer lock and bumps
+// the epoch exactly once at the *end* — strictly after the mutation's new
+// version is installed (VersionedStore::Write) or rolled back, and before
+// the writer lock is released. Subclasses cannot take the lock or move
+// the epoch any other way, so the contract holds by construction.
+// Install-then-bump means two equal epoch reads bracket a window in which
+// the set of published versions did not shrink to exclude what either
+// read saw: any snapshot pinned inside that window belongs to a version
+// the epoch names, which is exactly what exec::CachingIndex's result-cache
 // invalidation rule needs (docs/SERVING.md). (A query racing the gap
 // between install and bump may observe the new version under the old
 // epoch; the mutation has not returned yet, so serving its effects early
@@ -42,10 +44,13 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/mutex.h"
 #include "common/result.h"
 #include "obs/query_profile.h"
 
 namespace vist {
+
+class QueryableIndex;
 
 /// A pinned, immutable read view of one index: every query evaluated
 /// against it sees the same committed state, no matter how many writer
@@ -68,7 +73,13 @@ class Snapshot {
   virtual uint64_t epoch() const = 0;
 
  protected:
-  Snapshot() = default;
+  /// `owner` is the index that issues the snapshot; every other index
+  /// rejects it (QueryableIndex::ResolveSnapshot).
+  explicit Snapshot(const QueryableIndex* owner) : owner_(owner) {}
+
+ private:
+  friend class QueryableIndex;
+  const QueryableIndex* const owner_;
 };
 
 /// Per-query options, shared by every engine.
@@ -147,7 +158,7 @@ class QueryPlan {
 /// wrappers like exec::CachingIndex) implements. Thread-safety contract
 /// (docs/CONCURRENCY.md): all methods here are safe to call concurrently
 /// from many threads; mutations on the concrete engines serialize behind
-/// their writer lock.
+/// the writer lock that Mutate takes.
 class QueryableIndex {
  public:
   virtual ~QueryableIndex();
@@ -186,12 +197,47 @@ class QueryableIndex {
   }
 
  protected:
-  /// Concrete engines call this exactly once per mutating entry point, at
-  /// the end of the writer section (after commit or rollback), while
-  /// still holding their writer lock.
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+  /// `writer_rank` names the writer lock's class in common/lock_ranks.h:
+  /// kIndexWriter for an engine, kRouter for a router fronting engines.
+  explicit QueryableIndex(LockRank writer_rank = LockRank::kIndexWriter)
+      : writer_mu_(writer_rank) {}
+
+  /// Runs one mutating entry point. `body(epoch)` executes under the
+  /// writer lock, which serializes mutators (queries never take it), and
+  /// receives the epoch its new version is to be stamped with. Once the
+  /// body returns — succeeded or failed — the epoch is bumped exactly
+  /// once, before the lock is released (install-then-bump, see the file
+  /// comment). This is the only way to take the lock or move the epoch.
+  template <typename Body>
+  Status Mutate(Body&& body) VIST_EXCLUDES(writer_mu_) {
+    MutexLock lock(writer_mu_);
+    Status s = body(epoch_.load(std::memory_order_acquire) + 1);
+    epoch_.fetch_add(1, std::memory_order_acq_rel);
+    return s;
+  }
+
+  /// The snapshot a query reads: `options.snapshot` when the caller gave
+  /// one — checked to be a `SnapshotT` this index issued (InvalidArgument
+  /// otherwise) and returned as a non-owning alias, since the caller keeps
+  /// it alive for the call — else `pin()`, a fresh pin of the current
+  /// state.
+  template <typename SnapshotT, typename Pin>
+  Result<std::shared_ptr<const SnapshotT>> ResolveSnapshot(
+      const QueryOptions& options, Pin&& pin) const {
+    if (options.snapshot == nullptr) return pin();
+    const auto* snap = options.snapshot->owner_ == this
+                           ? dynamic_cast<const SnapshotT*>(options.snapshot)
+                           : nullptr;
+    if (snap == nullptr) {
+      return Status::InvalidArgument(
+          "QueryOptions::snapshot was not issued by this index");
+    }
+    return std::shared_ptr<const SnapshotT>(
+        std::shared_ptr<const SnapshotT>(), snap);
+  }
 
  private:
+  Mutex writer_mu_;
   std::atomic<uint64_t> epoch_{0};
 };
 

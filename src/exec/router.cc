@@ -172,13 +172,15 @@ const char* Router::EngineName(Engine engine) {
 
 Router::Router(VistIndex* vist, PathIndex* paths, NodeIndex* nodes,
                const RouterOptions& options)
-    : vist_(vist), paths_(paths), nodes_(nodes), options_(options) {
+    : QueryableIndex(LockRank::kRouter),
+      vist_(vist),
+      paths_(paths),
+      nodes_(nodes),
+      options_(options) {
   VIST_CHECK(vist != nullptr && paths != nullptr && nodes != nullptr);
   name_stats_.Store(std::make_shared<const NameStats>());
-  // Publish the initial composite snapshot so queries racing construction
-  // still find a consistent (possibly pre-loaded) corpus to pin.
-  // vist-lint: no-epoch-bump(publishes the initial snapshot; nothing mutated)
-  WriterLock lock(mu_);
+  // Publish the initial composite snapshot (of a possibly pre-loaded
+  // corpus) before the router is shared, so every query finds one to pin.
   Status s = RebuildSnapshot(epoch());
   VIST_CHECK(s.ok());  // engine GetSnapshot is a lock-free pin; never fails
 }
@@ -197,52 +199,36 @@ QueryableIndex* Router::EngineFor(Engine engine) const {
 }
 
 Status Router::InsertDocument(const xml::Node& root, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  Status s = vist_->InsertDocument(root, doc_id);
-  if (s.ok()) {
-    const Sequence sequence =
-        BuildSequence(root, vist_->symbols(), vist_->options().sequence);
-    s = paths_->InsertSequence(sequence, doc_id);
-  }
-  if (s.ok()) s = nodes_->InsertDocument(root, doc_id);
-  if (s.ok()) {
-    auto stats = std::make_shared<NameStats>(
-        *name_stats_.Load());
-    FoldNameStats(root, /*insert=*/true, stats.get());
-    name_stats_.Store(std::move(stats));
-    s = RebuildSnapshot(epoch() + 1);
-  }
-  // On failure the engines are divergent (header comment: fatal for this
-  // instance) and the snapshot deliberately stays on the last consistent
-  // state; the bump still happens so epoch-keyed caches drop their
-  // results either way.
-  BumpEpoch();
-  return s;
+  return FanOut(root, doc_id, /*insert=*/true);
 }
 
 Status Router::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  Status s = vist_->DeleteDocument(root, doc_id);
-  if (s.ok()) {
+  return FanOut(root, doc_id, /*insert=*/false);
+}
+
+Status Router::FanOut(const xml::Node& root, uint64_t doc_id, bool insert) {
+  // On failure the engines are divergent (header comment: fatal for this
+  // instance) and the snapshot deliberately stays on the last consistent
+  // state; Mutate still bumps, so epoch-keyed caches drop their results
+  // either way.
+  return Mutate([&](uint64_t epoch) -> Status {
+    VIST_RETURN_IF_ERROR(insert ? vist_->InsertDocument(root, doc_id)
+                                : vist_->DeleteDocument(root, doc_id));
     const Sequence sequence =
         BuildSequence(root, vist_->symbols(), vist_->options().sequence);
-    s = paths_->DeleteSequence(sequence, doc_id);
-  }
-  if (s.ok()) s = nodes_->DeleteDocument(root, doc_id);
-  if (s.ok()) {
-    auto stats = std::make_shared<NameStats>(
-        *name_stats_.Load());
-    FoldNameStats(root, /*insert=*/false, stats.get());
+    VIST_RETURN_IF_ERROR(insert ? paths_->InsertSequence(sequence, doc_id)
+                                : paths_->DeleteSequence(sequence, doc_id));
+    VIST_RETURN_IF_ERROR(insert ? nodes_->InsertDocument(root, doc_id)
+                                : nodes_->DeleteDocument(root, doc_id));
+    auto stats = std::make_shared<NameStats>(*name_stats_.Load());
+    FoldNameStats(root, insert, stats.get());
     name_stats_.Store(std::move(stats));
-    s = RebuildSnapshot(epoch() + 1);
-  }
-  BumpEpoch();
-  return s;
+    return RebuildSnapshot(epoch);
+  });
 }
 
 Status Router::RebuildSnapshot(uint64_t new_epoch) {
-  auto snap = std::shared_ptr<RouterSnapshot>(new RouterSnapshot());
-  snap->owner_ = this;
+  auto snap = std::shared_ptr<RouterSnapshot>(new RouterSnapshot(this));
   snap->epoch_ = new_epoch;
   for (size_t i = 0; i < kNumEngines; ++i) {
     VIST_ASSIGN_OR_RETURN(snap->engines_[i],
@@ -251,22 +237,6 @@ Status Router::RebuildSnapshot(uint64_t new_epoch) {
   snap->name_stats_ = name_stats_.Load();
   snapshot_.Store(std::move(snap));
   return Status::OK();
-}
-
-Result<std::shared_ptr<const RouterSnapshot>> Router::ResolveSnapshot(
-    const QueryOptions& options) const {
-  if (options.snapshot == nullptr) {
-    return snapshot_.Load();
-  }
-  const auto* snap = dynamic_cast<const RouterSnapshot*>(options.snapshot);
-  if (snap == nullptr || snap->owner_ != this) {
-    return Status::InvalidArgument(
-        "QueryOptions::snapshot was not taken from this router");
-  }
-  // Borrowed for the duration of the call (the QueryOptions contract):
-  // alias it without owning it.
-  return std::shared_ptr<const RouterSnapshot>(
-      std::shared_ptr<const RouterSnapshot>(), snap);
 }
 
 Result<std::shared_ptr<const Snapshot>> Router::GetSnapshot() {
@@ -335,7 +305,8 @@ Result<std::vector<uint64_t>> Router::QueryWithPlan(
   // makes the router's epoch meaningful to exec::CachingIndex — and a
   // reader never waits on an in-flight fan-out.
   VIST_ASSIGN_OR_RETURN(std::shared_ptr<const RouterSnapshot> snap,
-                        ResolveSnapshot(options));
+                        ResolveSnapshot<RouterSnapshot>(
+                            options, [this] { return snapshot_.Load(); }));
   const PlanFeatures& features = router_plan->features();
   const double selectivity =
       EstimateSelectivity(features, *snap->name_stats_);
@@ -502,15 +473,14 @@ Result<IndexStats> Router::Stats() {
 }
 
 Status Router::Flush() {
-  WriterLock lock(mu_);
-  Status s = vist_->Flush();
-  if (s.ok()) s = paths_->Flush();
-  if (s.ok()) s = nodes_->Flush();
-  // Re-pin so the published snapshot stops holding pre-flush versions
-  // alive (pinned versions keep their superseded pages off the freelist).
-  if (s.ok()) s = RebuildSnapshot(epoch() + 1);
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) -> Status {
+    VIST_RETURN_IF_ERROR(vist_->Flush());
+    VIST_RETURN_IF_ERROR(paths_->Flush());
+    VIST_RETURN_IF_ERROR(nodes_->Flush());
+    // Re-pin so the published snapshot stops holding pre-flush versions
+    // alive (pinned versions keep their superseded pages off the freelist).
+    return RebuildSnapshot(epoch);
+  });
 }
 
 }  // namespace exec

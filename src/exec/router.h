@@ -26,24 +26,24 @@
 //
 // Composition contract (the reason the router is itself a
 // QueryableIndex): mutations fan out to all three engines under the
-// router's writer lock and finish by pinning every engine's freshly
-// committed version into one composite RouterSnapshot, published
-// atomically just before the epoch bump. Queries take no router lock at
-// all: they load the published snapshot and hand each engine its own
-// pinned member snapshot, so a query — failover attempts included —
-// reads one consistent cross-engine corpus even while a fan-out is
-// mid-flight, and never waits on a writer. Two equal router-epoch reads
-// still bracket a window in which the published snapshot did not change,
-// which is exactly the invariant exec::CachingIndex's e1/e2 protocol
-// needs — the cache wraps the router unchanged. The shared symbol table
-// is internally synchronized (seq/symbol_table.h), so plan compilation
-// needs no router lock either.
+// router's writer lock (its own QueryableIndex::Mutate) and finish by
+// pinning every engine's freshly committed version into one composite
+// RouterSnapshot, published atomically just before the epoch bump.
+// Queries take no router lock at all: they load the published snapshot
+// and hand each engine its own pinned member snapshot, so a query —
+// failover attempts included — reads one consistent cross-engine corpus
+// even while a fan-out is mid-flight, and never waits on a writer. Two
+// equal router-epoch reads still bracket a window in which the published
+// snapshot did not change, which is exactly the invariant
+// exec::CachingIndex's e1/e2 protocol needs — the cache wraps the router
+// unchanged. The shared symbol table is internally synchronized
+// (seq/symbol_table.h), so plan compilation needs no router lock either.
 //
-// Lock order: router mu_ (mutators only) → engine SharedMutex → storage
-// latches. The feedback state lives under its own leaf mutex, never held
-// across an engine call. Deadlines propagate untouched into whichever
-// engine runs (QueryOptions::deadline), and verified queries always go to
-// ViST — the only engine with a document store.
+// Lock order: router writer lock (mutators only) → engine writer lock →
+// storage latches. The feedback state lives under its own leaf mutex,
+// never held across an engine call. Deadlines propagate untouched into
+// whichever engine runs (QueryOptions::deadline), and verified queries
+// always go to ViST — the only engine with a document store.
 
 #ifndef VIST_EXEC_ROUTER_H_
 #define VIST_EXEC_ROUTER_H_
@@ -175,18 +175,17 @@ class Router : public QueryableIndex {
   /// counting a mispick correction when the observed argmin changes.
   void RecordObservation(uint32_t bucket_key, Engine engine, double cost);
 
+  /// Applies one document to all three engines (inserting or deleting it)
+  /// and the name statistics, then republishes the composite snapshot.
+  Status FanOut(const xml::Node& root, uint64_t doc_id, bool insert);
+
   /// Pins every engine's current version plus the current name stats into
   /// a fresh composite snapshot stamped `new_epoch` and publishes it.
   /// Called at the end of a successful fan-out, before the epoch bump; a
   /// FAILED fan-out skips it, so the published snapshot stays on the last
   /// cross-engine-consistent state (the header's divergence-is-fatal
   /// contract).
-  Status RebuildSnapshot(uint64_t new_epoch) VIST_REQUIRES(mu_);
-
-  /// options.snapshot when set (validated to be ours), else the published
-  /// composite snapshot.
-  Result<std::shared_ptr<const RouterSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
+  Status RebuildSnapshot(uint64_t new_epoch);
 
   QueryableIndex* EngineFor(Engine engine) const;
 
@@ -195,20 +194,16 @@ class Router : public QueryableIndex {
   NodeIndex* const nodes_;
   const RouterOptions options_;
 
-  /// Router lock: serializes the mutation fan-out; queries never touch it
-  /// (they pin the published composite snapshot instead).
-  mutable SharedMutex mu_{LockRank::kRouter};
-
   /// Copy-on-write corpus name statistics feeding selectivity estimates:
-  /// the fan-out replaces the whole object under mu_; queries (and
-  /// snapshots) grab the current one lock-free.
+  /// the fan-out replaces the whole object under the writer lock; queries
+  /// (and snapshots) grab the current one lock-free.
   AtomicSharedPtr<const NameStats> name_stats_;
 
   /// The published composite snapshot (see RebuildSnapshot).
   AtomicSharedPtr<const RouterSnapshot> snapshot_;
 
   /// Learned feedback, bucketed by quantized plan features. Leaf lock:
-  /// taken briefly while mu_ is held shared, never across an engine call.
+  /// held briefly, never across an engine call.
   Mutex feedback_mu_{LockRank::kRouterFeedback};
   std::unordered_map<uint32_t, Bucket> feedback_ VIST_GUARDED_BY(feedback_mu_);
 
@@ -225,9 +220,8 @@ class RouterSnapshot : public Snapshot {
 
  private:
   friend class Router;
-  RouterSnapshot() = default;
+  explicit RouterSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const Router* owner_ = nullptr;
   uint64_t epoch_ = 0;
   std::array<std::shared_ptr<const Snapshot>, Router::kNumEngines> engines_;
   std::shared_ptr<const NameStats> name_stats_;

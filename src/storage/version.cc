@@ -132,7 +132,13 @@ Status VersionManager::Commit(uint64_t epoch) {
   current_.Store(std::move(v));
   MvccMetrics::Get().versions_published.Increment();
   in_write_ = false;
-  return ReclaimEligible();
+  // Readers can see the new version now, so the transaction has happened
+  // and must report OK: a caller told otherwise would retry a mutation
+  // that is already visible. A failed reclaim leaves its pages in limbo
+  // (storage.mvcc.reclaim_deferred); the next pass — at the latest the
+  // owner's Flush — retries them and reports the error.
+  IgnoreError(ReclaimEligible());
+  return Status::OK();
 }
 
 void VersionManager::Abort() {

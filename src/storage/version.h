@@ -46,8 +46,9 @@ struct Version {
   /// Internal strictly-monotone publish sequence; orders reclamation.
   uint64_t seq = 0;
   /// The owning engine's QueryableIndex::epoch() value that this version
-  /// installs (stamped by the writer at commit, before its end-of-scope
-  /// BumpEpoch makes it current). Reported by Snapshot::epoch().
+  /// installs (stamped by the writer at commit, before the bump at the end
+  /// of QueryableIndex::Mutate makes it current). Reported by
+  /// Snapshot::epoch().
   uint64_t epoch = 0;
   std::array<uint64_t, kNumMetaSlots> slots{};
 };
@@ -98,7 +99,8 @@ class VersionManager {
   /// first; if that fails the transaction is rolled back and the
   /// previous version stays current (nothing is published). On success
   /// retired pages enter limbo and any limbo pages no snapshot can still
-  /// reach are freed.
+  /// reach are freed; pages that fail to free stay in limbo for the next
+  /// ReclaimEligible, and the commit still returns OK.
   Status Commit(uint64_t epoch);
 
   /// Rolls the transaction back: frees fresh pages, forgets retire

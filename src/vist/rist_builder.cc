@@ -48,7 +48,7 @@ Status LoadSubtree(const TrieNode& node, bool is_root, uint64_t parent_n,
 Result<std::unique_ptr<RistIndex>> RistIndex::Build(
     const std::string& dir,
     const std::vector<std::pair<uint64_t, Sequence>>& documents,
-    const SymbolTable* symtab, const RistOptions& options) {
+    const SymbolTable* symtab, const StoreOptions& options) {
   VIST_CHECK(symtab != nullptr);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -62,44 +62,22 @@ Result<std::unique_ptr<RistIndex>> RistIndex::Build(
   }
   LabelTrie(&trie);
 
-  std::unique_ptr<RistIndex> index(new RistIndex(symtab, options));
-  PagerOptions pager_options;
-  pager_options.page_size = options.page_size;
-  VIST_ASSIGN_OR_RETURN(index->pager_,
-                        Pager::Open(dir + "/rist.db", pager_options));
-  const size_t pool_pages = std::max<size_t>(options.buffer_pool_pages, 256);
-  index->pool_ =
-      std::make_unique<BufferPool>(index->pager_.get(), pool_pages);
-  index->versions_ = std::make_unique<VersionManager>(index->pager_.get(),
-                                                      index->pool_.get());
-  index->versions_->Bootstrap();
+  std::unique_ptr<RistIndex> index(new RistIndex(symtab));
+  VIST_ASSIGN_OR_RETURN(index->store_,
+                        VersionedStore::Open(dir + "/rist.db", options));
 
   // The whole bulk load is one write transaction committing one version —
   // the only version a static index ever has.
-  index->versions_->BeginWrite();
-  Status loaded = [&]() -> Status {
-    VIST_ASSIGN_OR_RETURN(
-        index->entry_tree_,
-        BTree::Create(index->pager_.get(), index->pool_.get(),
-                      index->versions_.get(), kEntryTreeSlot));
-    VIST_ASSIGN_OR_RETURN(
-        index->docid_tree_,
-        BTree::Create(index->pager_.get(), index->pool_.get(),
-                      index->versions_.get(), kDocIdTreeSlot));
+  VIST_RETURN_IF_ERROR(index->store_->Write(/*epoch=*/0, [&]() -> Status {
+    VIST_ASSIGN_OR_RETURN(index->entry_tree_,
+                          index->store_->CreateTree(kEntryTreeSlot));
+    VIST_ASSIGN_OR_RETURN(index->docid_tree_,
+                          index->store_->CreateTree(kDocIdTreeSlot));
     // Step iii): insert every labeled node into the B+ trees.
-    uint64_t max_depth = 0;
-    VIST_RETURN_IF_ERROR(LoadSubtree(*trie.root(), /*is_root=*/true, 0,
-                                     index->entry_tree_.get(),
-                                     index->docid_tree_.get(), &max_depth));
-    index->max_depth_ = max_depth;
-    return Status::OK();
-  }();
-  if (loaded.ok()) loaded = index->versions_->Commit(/*epoch=*/0);
-  if (!loaded.ok()) {
-    index->versions_->Abort();
-    return loaded;
-  }
-  index->version_ = index->versions_->Pin();
+    return LoadSubtree(*trie.root(), /*is_root=*/true, 0, index->entry_tree_,
+                       index->docid_tree_, &index->max_depth_);
+  }));
+  index->version_ = index->store_->Pin();
   index->num_nodes_ = trie.num_nodes();
   return index;
 }
@@ -117,10 +95,8 @@ Result<std::vector<uint64_t>> RistIndex::Query(std::string_view path,
     profile->engine = "rist";
     profile->query = std::string(path);
   }
-  query::CompileOptions compile_options;
-  compile_options.max_alternatives = options_.max_alternatives;
   VIST_ASSIGN_OR_RETURN(query::CompiledQuery compiled,
-                        query::CompilePath(path, *symtab_, compile_options));
+                        query::CompilePath(path, *symtab_));
   return QueryCompiled(compiled, profile);
 }
 

@@ -25,18 +25,11 @@
 #include "seq/sequence.h"
 #include "seq/symbol_table.h"
 #include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
 #include "storage/version.h"
+#include "storage/versioned_store.h"
 #include "vist/matcher.h"
 
 namespace vist {
-
-struct RistOptions {
-  uint32_t page_size = 4096;
-  size_t buffer_pool_pages = 1024;
-  size_t max_alternatives = 64;
-};
 
 class RistIndex {
  public:
@@ -46,7 +39,7 @@ class RistIndex {
   static Result<std::unique_ptr<RistIndex>> Build(
       const std::string& dir,
       const std::vector<std::pair<uint64_t, Sequence>>& documents,
-      const SymbolTable* symtab, const RistOptions& options = {});
+      const SymbolTable* symtab, const StoreOptions& options = {});
 
   RistIndex(const RistIndex&) = delete;
   RistIndex& operator=(const RistIndex&) = delete;
@@ -62,24 +55,18 @@ class RistIndex {
       obs::QueryProfile* profile = nullptr);
 
   /// Page-file size in bytes (index-size experiments).
-  uint64_t size_bytes() const {
-    return pager_->page_count() * pager_->page_size();
-  }
+  uint64_t size_bytes() const { return store_->size_bytes(); }
   /// Trie nodes indexed.
   uint64_t num_nodes() const { return num_nodes_; }
 
  private:
-  RistIndex(const SymbolTable* symtab, RistOptions options)
-      : symtab_(symtab), options_(options) {}
+  explicit RistIndex(const SymbolTable* symtab) : symtab_(symtab) {}
 
   const SymbolTable* symtab_;
-  RistOptions options_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
-  std::unique_ptr<BTree> entry_tree_;
-  std::unique_ptr<BTree> docid_tree_;
+  std::unique_ptr<VersionedStore> store_;
+  // Owned by store_.
+  BTree* entry_tree_ = nullptr;
+  BTree* docid_tree_ = nullptr;
   /// The one committed version (the index is static); every query reads
   /// through it.
   std::shared_ptr<const Version> version_;

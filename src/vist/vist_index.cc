@@ -101,13 +101,8 @@ VistIndex::VistIndex(std::string dir, VistOptions options)
       root_key_(EncodeEntryKey(EncodeDKey(kInvalidSymbol, {}), 0, 0)) {}
 
 VistIndex::~VistIndex() {
-  if (pager_ == nullptr) return;
-  if (crashed_) {
-    // Unflushed pages never reach disk; orphan the limbo list too (the
-    // journal rollback on reopen returns the whole batch, limbo included).
-    versions_->AbandonForCrash();
-    return;
-  }
+  // After a (simulated) crash, unflushed state must never reach disk.
+  if (store_ == nullptr || store_->crashed()) return;
   // Flush drains every reclaimable limbo page first (no snapshots may
   // outlive the index, so at this point that is all of them) — the synced
   // freelist then accounts for every retired page and fsck stays clean.
@@ -116,63 +111,30 @@ VistIndex::~VistIndex() {
 }
 
 void VistIndex::SimulateCrashForTesting() {
-  // vist-lint: no-epoch-bump(simulated crash freezes state; nothing below
-  // commits a mutation readers could observe at a new epoch)
-  WriterLock lock(mu_);
-  crashed_ = true;
-  versions_->AbandonForCrash();
-  pool_->SimulateCrashForTesting();
-  pager_->SimulateCrashForTesting();
+  // Crashing installs nothing, so the body cannot fail.
+  IgnoreError(Mutate([&](uint64_t) {
+    store_->SimulateCrashForTesting();
+    return Status::OK();
+  }));
 }
 
 Status VistIndex::InitTrees(bool create) {
-  PagerOptions pager_options;
-  pager_options.page_size = options_.page_size;
-  pager_options.durability = options_.durability;
-  pager_options.env = options_.env;
-  VIST_ASSIGN_OR_RETURN(pager_,
-                        Pager::Open(PageFilePath(dir_), pager_options));
-  const size_t pool_pages = std::max<size_t>(options_.buffer_pool_pages, 256);
-  pool_ = std::make_unique<BufferPool>(pager_.get(), pool_pages);
-  versions_ = std::make_unique<VersionManager>(pager_.get(), pool_.get());
-  versions_->Bootstrap();
-  if (create) {
-    // Creating the trees allocates their root pages and points the meta
-    // slots at them — one version-install transaction like any mutation.
-    versions_->BeginWrite();
-    Status created = [&]() -> Status {
-      VIST_ASSIGN_OR_RETURN(entry_tree_,
-                            BTree::Create(pager_.get(), pool_.get(),
-                                          versions_.get(), kEntryTreeSlot));
-      VIST_ASSIGN_OR_RETURN(docid_tree_,
-                            BTree::Create(pager_.get(), pool_.get(),
-                                          versions_.get(), kDocIdTreeSlot));
-      if (options_.store_documents) {
-        VIST_ASSIGN_OR_RETURN(doc_store_,
-                              BTree::Create(pager_.get(), pool_.get(),
-                                            versions_.get(), kDocStoreSlot));
-      }
-      return Status::OK();
-    }();
-    if (created.ok()) {
-      created = versions_->Commit(/*epoch=*/0);
-    } else {
-      versions_->Abort();
-    }
-    VIST_RETURN_IF_ERROR(created);
-  } else {
-    VIST_ASSIGN_OR_RETURN(entry_tree_,
-                          BTree::Open(pager_.get(), pool_.get(),
-                                      versions_.get(), kEntryTreeSlot));
-    VIST_ASSIGN_OR_RETURN(docid_tree_,
-                          BTree::Open(pager_.get(), pool_.get(),
-                                      versions_.get(), kDocIdTreeSlot));
+  VIST_ASSIGN_OR_RETURN(store_,
+                        VersionedStore::Open(PageFilePath(dir_), options_));
+  auto trees = [&]() -> Status {
+    auto tree = [&](int slot) {
+      return create ? store_->CreateTree(slot) : store_->OpenTree(slot);
+    };
+    VIST_ASSIGN_OR_RETURN(entry_tree_, tree(kEntryTreeSlot));
+    VIST_ASSIGN_OR_RETURN(docid_tree_, tree(kDocIdTreeSlot));
     if (options_.store_documents) {
-      VIST_ASSIGN_OR_RETURN(doc_store_,
-                            BTree::Open(pager_.get(), pool_.get(),
-                                        versions_.get(), kDocStoreSlot));
+      VIST_ASSIGN_OR_RETURN(doc_store_, tree(kDocStoreSlot));
     }
-  }
+    return Status::OK();
+  };
+  // Creating the trees allocates their root pages and points the meta
+  // slots at them — one version-install transaction like any mutation.
+  VIST_RETURN_IF_ERROR(create ? store_->Write(/*epoch=*/0, trees) : trees());
   if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
     allocator_ = std::make_unique<StatisticalScopeAllocator>(
         &stats_, options_.lambda, options_.reserve_divisor,
@@ -207,26 +169,14 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Create(
   VIST_RETURN_IF_ERROR(index->InitTrees(/*create=*/true));
 
   // The virtual root: owns the whole label space, label 0 unused. The
-  // index is not shared yet, but WriteRecord's locking contract is
-  // compiler-checked, so take the (uncontended) writer lock; Flush
-  // acquires it itself.
-  {
-    NodeRecord root;
-    root.n = 0;
-    root.size = kMaxScope;
-    index->allocator_->InitRecord(&root);
-    // vist-lint: no-epoch-bump(construction: the index is not shared yet,
-    // so there is no cache or router watching the epoch)
-    WriterLock lock(index->mu_);
-    index->versions_->BeginWrite();
-    Status s = index->WriteRecord(index->root_key_, root);
-    if (s.ok()) {
-      s = index->versions_->Commit(/*epoch=*/0);
-    } else {
-      index->versions_->Abort();
-    }
-    VIST_RETURN_IF_ERROR(s);
-  }
+  // index is not shared yet, so this needs no writer lock.
+  NodeRecord root;
+  root.n = 0;
+  root.size = kMaxScope;
+  index->allocator_->InitRecord(&root);
+  VIST_RETURN_IF_ERROR(index->store_->Write(/*epoch=*/0, [&] {
+    return index->WriteRecord(index->root_key_, root);
+  }));
   VIST_RETURN_IF_ERROR(index->Flush());
   return index;
 }
@@ -290,9 +240,8 @@ Result<bool> VistIndex::FindImmediateChild(const std::string& dkey,
 }
 
 std::shared_ptr<const VistSnapshot> VistIndex::PinSnapshot() const {
-  std::shared_ptr<VistSnapshot> snap(new VistSnapshot());
-  snap->owner_ = this;
-  snap->version_ = versions_->Pin();
+  std::shared_ptr<VistSnapshot> snap(new VistSnapshot(this));
+  snap->version_ = store_->Pin();
   const Version& v = *snap->version_;
   snap->entry_tree_ = entry_tree_->ViewAt(v);
   snap->docid_tree_ = docid_tree_->ViewAt(v);
@@ -300,38 +249,15 @@ std::shared_ptr<const VistSnapshot> VistIndex::PinSnapshot() const {
   return snap;
 }
 
-Result<std::shared_ptr<const VistSnapshot>> VistIndex::ResolveSnapshot(
-    const QueryOptions& options) const {
-  if (options.snapshot == nullptr) return PinSnapshot();
-  const auto* snap = dynamic_cast<const VistSnapshot*>(options.snapshot);
-  if (snap == nullptr || snap->owner_ != this) {
-    return Status::InvalidArgument(
-        "QueryOptions::snapshot was not issued by this VistIndex");
-  }
-  // Borrowed: the caller keeps the owning shared_ptr alive for the call
-  // (QueryOptions contract), so a non-owning alias is sound here.
-  return std::shared_ptr<const VistSnapshot>(
-      std::shared_ptr<const VistSnapshot>(), snap);
-}
-
 Result<std::shared_ptr<const Snapshot>> VistIndex::GetSnapshot() {
   return std::shared_ptr<const Snapshot>(PinSnapshot());
 }
 
 Status VistIndex::InsertSequence(const Sequence& sequence, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = InsertSequenceImpl(sequence, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  // Install-then-bump (the QueryableIndex epoch contract): the epoch moves
-  // only after the new version is published or rolled back, while the
-  // writer lock is still held.
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    return store_->Write(epoch,
+                         [&] { return InsertSequenceImpl(sequence, doc_id); });
+  });
 }
 
 Status VistIndex::InsertSequenceImpl(const Sequence& sequence,
@@ -444,16 +370,10 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
 
 Status VistIndex::BulkLoadSequences(
     const std::vector<std::pair<uint64_t, Sequence>>& documents) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = BulkLoadSequencesImpl(documents);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    return store_->Write(epoch,
+                         [&] { return BulkLoadSequencesImpl(documents); });
+  });
 }
 
 Status VistIndex::BulkLoadSequencesImpl(
@@ -591,22 +511,16 @@ Status VistIndex::BulkLoadSequencesImpl(
 }
 
 Status VistIndex::InsertDocument(const xml::Node& root, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  // Interning is not part of the transaction: the symbol table is
-  // append-only, so symbols from an aborted insert are harmless.
-  Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
-  Status s = InsertSequenceImpl(sequence, doc_id);
-  if (s.ok() && options_.store_documents) {
-    s = StoreDocumentText(doc_id, xml::WriteNode(root));
-  }
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    // Interning is not part of the transaction: the symbol table is
+    // append-only, so symbols from an aborted insert are harmless.
+    Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
+    return store_->Write(epoch, [&]() -> Status {
+      VIST_RETURN_IF_ERROR(InsertSequenceImpl(sequence, doc_id));
+      if (!options_.store_documents) return Status::OK();
+      return StoreDocumentText(doc_id, xml::WriteNode(root));
+    });
+  });
 }
 
 Result<bool> VistIndex::TryDelete(const Sequence& sequence, size_t i,
@@ -676,16 +590,10 @@ Result<bool> VistIndex::TryDelete(const Sequence& sequence, size_t i,
 }
 
 Status VistIndex::DeleteSequence(const Sequence& sequence, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Status s = DeleteSequenceImpl(sequence, doc_id);
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    return store_->Write(epoch,
+                         [&] { return DeleteSequenceImpl(sequence, doc_id); });
+  });
 }
 
 Status VistIndex::DeleteSequenceImpl(const Sequence& sequence,
@@ -707,20 +615,14 @@ Status VistIndex::DeleteSequenceImpl(const Sequence& sequence,
 }
 
 Status VistIndex::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
-  WriterLock lock(mu_);
-  versions_->BeginWrite();
-  Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
-  Status s = DeleteSequenceImpl(sequence, doc_id);
-  if (s.ok() && options_.store_documents) {
-    s = DeleteDocumentText(doc_id);
-  }
-  if (s.ok()) {
-    s = versions_->Commit(epoch() + 1);
-  } else {
-    versions_->Abort();
-  }
-  BumpEpoch();
-  return s;
+  return Mutate([&](uint64_t epoch) {
+    Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
+    return store_->Write(epoch, [&]() -> Status {
+      VIST_RETURN_IF_ERROR(DeleteSequenceImpl(sequence, doc_id));
+      if (!options_.store_documents) return Status::OK();
+      return DeleteDocumentText(doc_id);
+    });
+  });
 }
 
 Result<std::vector<uint64_t>> VistIndex::QueryCompiled(
@@ -777,8 +679,9 @@ Result<std::vector<uint64_t>> VistIndex::QueryWithPlan(
   // One snapshot covers matching, document fetches, and verification, so
   // the whole query — including its verify pass — observes a single
   // committed version, with no reader lock anywhere.
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const VistSnapshot> snap,
-                        ResolveSnapshot(options));
+  VIST_ASSIGN_OR_RETURN(
+      std::shared_ptr<const VistSnapshot> snap,
+      ResolveSnapshot<VistSnapshot>(options, [this] { return PinSnapshot(); }));
   VistMetrics::Get().queries.Increment();
   obs::ScopedTimer timer(VistMetrics::Get().query_latency_us);
   obs::QueryProfile* profile = options.profile;
@@ -881,7 +784,7 @@ Result<IndexStats> VistIndex::Stats() {
   IndexStats stats;
   // page_count is an atomic read; everything else comes from the pinned
   // version, so the cardinalities are mutually consistent.
-  stats.size_bytes = pager_->page_count() * pager_->page_size();
+  stats.size_bytes = store_->size_bytes();
   stats.max_depth = snap->version_->slots[kMaxDepthSlot];
   stats.underflow_runs = snap->version_->slots[kUnderflowSlot];
   NodeRecord root;
@@ -1010,22 +913,13 @@ Result<VistIndex::IntegrityReport> VistIndex::CheckIntegrity() {
 }
 
 Status VistIndex::Flush() {
-  WriterLock lock(mu_);
-  Status s = FlushLocked();
   // Flush publishes no new version, but it is a public mutating entry
   // point, so the uniform epoch contract still applies.
-  BumpEpoch();
-  return s;
-}
-
-Status VistIndex::FlushLocked() {
-  // Return limbo pages whose last pinning reader has departed to the
-  // freelist first, so the synced freelist accounts for them (remaining
-  // limbo pages drain at the next Flush or at close).
-  VIST_RETURN_IF_ERROR(versions_->ReclaimEligible());
-  VIST_RETURN_IF_ERROR(symtab_.Save(SymbolsPath(dir_)));
-  VIST_RETURN_IF_ERROR(pool_->FlushAll());
-  return pager_->Sync();
+  return Mutate([&](uint64_t) -> Status {
+    // The symbols reach disk before the page file that references them.
+    VIST_RETURN_IF_ERROR(symtab_.Save(SymbolsPath(dir_)));
+    return store_->Flush();
+  });
 }
 
 }  // namespace vist

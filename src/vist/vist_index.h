@@ -15,9 +15,10 @@
 //
 // Threading (docs/CONCURRENCY.md "Snapshots"): one VistIndex can be shared
 // across threads. Mutations (Insert*/Delete*/BulkLoad*/Flush) serialize
-// behind the writer lock and run as copy-on-write transactions: each one
-// builds the next tree version out-of-place and publishes it atomically
-// (VersionManager::Commit), so a failed mutation rolls back completely.
+// behind the writer lock (QueryableIndex::Mutate) and run as copy-on-write
+// transactions: each one builds the next tree version out-of-place and
+// publishes it atomically (VersionedStore::Write), so a failed mutation
+// rolls back completely.
 // Queries (Query/QueryCompiled/GetDocument/Stats/CheckIntegrity) take NO
 // lock at all: each pins the current published version (a Snapshot) and
 // reads only pages frozen in it, so readers never wait on a writer — not
@@ -35,39 +36,24 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "exec/queryable_index.h"
 #include "obs/query_profile.h"
 #include "query/query_sequence.h"
 #include "seq/sequence.h"
 #include "seq/symbol_table.h"
 #include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/pager.h"
 #include "storage/version.h"
+#include "storage/versioned_store.h"
 #include "vist/matcher.h"
 #include "vist/schema_stats.h"
 #include "vist/scope_allocator.h"
 
 namespace vist {
 
-struct VistOptions {
-  /// Page size of index.db (the paper uses 2 KB Berkeley DB pages).
-  uint32_t page_size = 4096;
-  /// Buffer pool capacity in pages (runtime only, not persisted).
-  /// 16384 x 4 KB = 64 MB, a modest cache by today's standards.
-  size_t buffer_pool_pages = 16384;
-
-  /// What a crash may cost (runtime only, not persisted): kProcessCrash
-  /// keeps batches atomic against process crashes; kPowerLoss adds the
-  /// fsync barriers that survive a power cut. See docs/DURABILITY.md.
-  DurabilityLevel durability = DurabilityLevel::kProcessCrash;
-  /// File-system seam for index.db and its journal (runtime only); null
-  /// means Env::Default(). Must outlive the index.
-  Env* env = nullptr;
-
+/// index.db's settings come from StoreOptions: page_size (persisted in the
+/// manifest), buffer_pool_pages, durability and env (runtime only).
+struct VistOptions : StoreOptions {
   enum class AllocatorKind {
     kUniform,      // §3.4.1 "without clues": λ-geometric (Eq. 5-6)
     kStatistical,  // §3.4.1 "with clues": follow-set slots (Eq. 1-4)
@@ -105,9 +91,8 @@ class VistSnapshot : public Snapshot {
 
  private:
   friend class VistIndex;
-  VistSnapshot() = default;
+  explicit VistSnapshot(const QueryableIndex* owner) : Snapshot(owner) {}
 
-  const class VistIndex* owner_ = nullptr;
   std::shared_ptr<const Version> version_;
   BTreeView entry_tree_;
   BTreeView docid_tree_;
@@ -220,18 +205,13 @@ class VistIndex : public QueryableIndex {
   VistIndex(std::string dir, VistOptions options);
 
   /// Writer-side bodies of the mutating entry points, for composition:
-  /// e.g. InsertDocument = writer lock + transaction + InsertSequenceImpl
-  /// + StoreDocumentText + commit. The REQUIRES annotations make the
-  /// discipline compiler-checked; all of these additionally run inside an
-  /// open VersionManager write transaction.
-  Status InsertSequenceImpl(const Sequence& sequence, uint64_t doc_id)
-      VIST_REQUIRES(mu_);
-  Status DeleteSequenceImpl(const Sequence& sequence, uint64_t doc_id)
-      VIST_REQUIRES(mu_);
+  /// e.g. InsertDocument = Mutate + VersionedStore::Write around
+  /// InsertSequenceImpl + StoreDocumentText. Everything writer-side below
+  /// runs only inside such a transaction, under the writer lock.
+  Status InsertSequenceImpl(const Sequence& sequence, uint64_t doc_id);
+  Status DeleteSequenceImpl(const Sequence& sequence, uint64_t doc_id);
   Status BulkLoadSequencesImpl(
-      const std::vector<std::pair<uint64_t, Sequence>>& documents)
-      VIST_REQUIRES(mu_);
-  Status FlushLocked() VIST_REQUIRES(mu_);
+      const std::vector<std::pair<uint64_t, Sequence>>& documents);
 
   /// Reader-side bodies: lock-free, reading only through `snap`'s views.
   Result<std::vector<uint64_t>> QueryCompiledImpl(
@@ -243,17 +223,14 @@ class VistIndex : public QueryableIndex {
 
   /// Pins the current version and builds its tree views (never fails).
   std::shared_ptr<const VistSnapshot> PinSnapshot() const;
-  /// options.snapshot when set (validated to be ours), else PinSnapshot().
-  Result<std::shared_ptr<const VistSnapshot>> ResolveSnapshot(
-      const QueryOptions& options) const;
 
+  /// Opens index.db and creates (`create`) or opens its trees.
   Status InitTrees(bool create);
   /// Writer-side root-record read (working tree).
-  Status LoadRootRecord(NodeRecord* record) VIST_REQUIRES(mu_);
+  Status LoadRootRecord(NodeRecord* record);
   /// Reader-side root-record read through a snapshot view.
   Status LoadRootRecordAt(const BTreeView& tree, NodeRecord* record) const;
-  Status WriteRecord(const std::string& entry_key, const NodeRecord& record)
-      VIST_REQUIRES(mu_);
+  Status WriteRecord(const std::string& entry_key, const NodeRecord& record);
 
   struct PathEntry {
     std::string key;  // entry key in the combined tree
@@ -265,58 +242,40 @@ class VistIndex : public QueryableIndex {
   /// Finds the immediate child of `parent` with the given D-key, if any
   /// (writer-side: reads the working tree during an insert/delete).
   Result<bool> FindImmediateChild(const std::string& dkey,
-                                  const NodeRecord& parent, PathEntry* out)
-      VIST_REQUIRES(mu_);
+                                  const NodeRecord& parent, PathEntry* out);
 
   /// Scope underflow (§3.4.1): labels the remaining elements sequentially
   /// from the nearest ancestor reserve with room, rebuilding the path tail
   /// (duplicating the intermediate nodes the run bypasses).
   Status InsertUnderflowRun(const Sequence& sequence,
-                            std::vector<PathEntry>* path) VIST_REQUIRES(mu_);
+                            std::vector<PathEntry>* path);
 
   /// Backtracking walk used by DeleteSequence.
   Result<bool> TryDelete(const Sequence& sequence, size_t i, uint64_t doc_id,
-                         std::vector<PathEntry>* path) VIST_REQUIRES(mu_);
+                         std::vector<PathEntry>* path);
 
-  Status StoreDocumentText(uint64_t doc_id, const std::string& text)
-      VIST_REQUIRES(mu_);
-  Status DeleteDocumentText(uint64_t doc_id) VIST_REQUIRES(mu_);
+  Status StoreDocumentText(uint64_t doc_id, const std::string& text);
+  Status DeleteDocumentText(uint64_t doc_id);
 
   // The engine scalars live in version meta slots (3 = max_depth,
   // 4 = underflow_runs): writers see the transaction's working values
   // below; readers take them from their pinned Version's slots.
-  uint64_t max_depth() const VIST_REQUIRES(mu_) {
-    return versions_->WorkingSlot(3);
-  }
-  void set_max_depth(uint64_t d) VIST_REQUIRES(mu_) {
-    versions_->SetWorkingSlot(3, d);
-  }
-  uint64_t underflow_runs() const VIST_REQUIRES(mu_) {
-    return versions_->WorkingSlot(4);
-  }
-  void set_underflow_runs(uint64_t c) VIST_REQUIRES(mu_) {
-    versions_->SetWorkingSlot(4, c);
-  }
-
-  /// Writer lock: serializes mutations against each other. Queries never
-  /// touch it (they pin versions instead) — the whole point of the
-  /// copy-on-write design.
-  mutable SharedMutex mu_{LockRank::kIndexWriter};
+  uint64_t max_depth() const { return store_->WorkingSlot(3); }
+  void set_max_depth(uint64_t d) { store_->SetWorkingSlot(3, d); }
+  uint64_t underflow_runs() const { return store_->WorkingSlot(4); }
+  void set_underflow_runs(uint64_t c) { store_->SetWorkingSlot(4, c); }
 
   const std::string dir_;
   VistOptions options_;
   SymbolTable symtab_;
   SchemaStats stats_;
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferPool> pool_;
-  // Declared after pool_ (destroyed first): reclamation frees through it.
-  std::unique_ptr<VersionManager> versions_;
-  std::unique_ptr<BTree> entry_tree_;
-  std::unique_ptr<BTree> docid_tree_;
-  std::unique_ptr<BTree> doc_store_;
+  std::unique_ptr<VersionedStore> store_;
+  // Owned by store_.
+  BTree* entry_tree_ = nullptr;
+  BTree* docid_tree_ = nullptr;
+  BTree* doc_store_ = nullptr;  // null unless store_documents
   std::unique_ptr<ScopeAllocator> allocator_;
   std::string root_key_;
-  bool crashed_ VIST_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace vist

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "baseline/node_index.h"
 #include "baseline/path_index.h"
 #include "exec/caching_index.h"
+#include "exec/router.h"
 #include "obs/metrics.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
@@ -153,6 +155,60 @@ TEST_F(CachingIndexTest, EveryMutatingEntryPointBumpsEpochExactlyOnce) {
   EXPECT_EQ((*nodes)->epoch(), ++node_epoch) << "NodeIndex::Flush";
 }
 
+// The failure half of the epoch contract: a rejected mutation still bumps
+// exactly once (over-invalidation is safe) and publishes nothing.
+void ExpectRejectedMutation(QueryableIndex* index, const char* what,
+                            const std::function<Status()>& mutate) {
+  auto before = index->Stats();
+  ASSERT_TRUE(before.ok());
+  const uint64_t epoch = index->epoch();
+  EXPECT_FALSE(mutate().ok()) << what << " was not rejected";
+  EXPECT_EQ(index->epoch(), epoch + 1) << what;
+  auto after = index->Stats();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->size_bytes, before->size_bytes) << what;
+  EXPECT_EQ(after->num_documents, before->num_documents) << what;
+  EXPECT_EQ(after->num_entries, before->num_entries) << what;
+  EXPECT_EQ(after->max_depth, before->max_depth) << what;
+  EXPECT_EQ(after->underflow_runs, before->underflow_runs) << what;
+}
+
+TEST_F(CachingIndexTest, RejectedMutationBumpsOnceAndPublishesNothing) {
+  std::unique_ptr<VistIndex> index = MakeVist(/*store_documents=*/true);
+  xml::Document doc = MustParse(UniqueDoc(1));
+  ASSERT_TRUE(index->InsertDocument(*doc.root(), 1).ok());
+  // Flush frees the pages the insert retired, so the shadow copies a
+  // rejected delete makes (and rolls back) come from the freelist rather
+  // than growing the file.
+  ASSERT_TRUE(index->Flush().ok());
+  Sequence seq = BuildSequence(*doc.root(), index->symbols());
+  ExpectRejectedMutation(index.get(), "empty-sequence insert", [&] {
+    return index->InsertSequence(Sequence(), 2);
+  });
+  ExpectRejectedMutation(index.get(), "delete of an absent document", [&] {
+    return index->DeleteDocument(*doc.root(), 7);
+  });
+  ExpectRejectedMutation(index.get(), "bulk load into a non-empty index", [&] {
+    return index->BulkLoadSequences({{3, seq}});
+  });
+  auto still = index->Query("/doc/u1");
+  ASSERT_TRUE(still.ok());
+  EXPECT_EQ(*still, std::vector<uint64_t>{1});
+
+  auto paths = PathIndex::Create(dir_ + "/paths", index->symbols());
+  ASSERT_TRUE(paths.ok());
+  ExpectRejectedMutation(paths->get(), "AddRefinedPath of a malformed path",
+                         [&] { return (*paths)->AddRefinedPath("/doc[u1"); });
+
+  auto nodes = NodeIndex::Create(dir_ + "/nodes", index->symbols());
+  ASSERT_TRUE(nodes.ok());
+  Router router(index.get(), paths->get(), nodes->get());
+  xml::Document absent = MustParse(UniqueDoc(5));
+  ExpectRejectedMutation(&router, "Router delete of an absent document", [&] {
+    return router.DeleteDocument(*absent.root(), 5);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // The oracle: cached == uncached at every epoch, for every engine.
 
@@ -274,7 +330,7 @@ TEST_F(CachingIndexTest, MissedEpochBumpServesStaleResultsTheOracleCatches) {
   EXPECT_NE(*cached, *direct)
       << "a frozen epoch must leave the cache stale; if these match, the "
          "regression harness lost its teeth and can no longer detect a "
-         "missed BumpEpoch()";
+         "missed epoch bump";
   EXPECT_EQ(cached->size(), 1u);
   EXPECT_EQ(direct->size(), 2u);
 

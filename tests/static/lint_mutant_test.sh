@@ -46,22 +46,7 @@ expect_finding() {
 # is meaningless.
 run_lint >/dev/null || fail "baseline tree is not lint-clean"
 
-# Mutant 1 [epoch-bump]: delete the first BumpEpoch() after a WriterLock
-# in the ViST engine — the FrozenEpochIndex bug (mutation invisible to
-# CachingIndex/Router invalidation).
-sed -i '0,/^  BumpEpoch();$/{/^  BumpEpoch();$/d}' \
-  "$TMP/src/vist/vist_index.cc"
-expect_finding "missing-epoch-bump" epoch-bump "never calls BumpEpoch()"
-restore src/vist/vist_index.cc
-
-# Mutant 2 [epoch-bump]: bump twice in one writer section — spurious
-# wholesale cache invalidation.
-sed -i '0,/^  BumpEpoch();$/{s/^  BumpEpoch();$/  BumpEpoch();\n  BumpEpoch();/}' \
-  "$TMP/src/vist/vist_index.cc"
-expect_finding "double-epoch-bump" epoch-bump "2 times"
-restore src/vist/vist_index.cc
-
-# Mutant 3 [raw-mutex]: a raw std::mutex outside common/mutex.h —
+# Mutant 1 [raw-mutex]: a raw std::mutex outside common/mutex.h —
 # invisible to both the thread-safety annotations and lockdep.
 cat > "$TMP/tests/sneaky_raw_mutex.cc" <<'EOF'
 #include <mutex>
@@ -71,22 +56,22 @@ EOF
 expect_finding "raw-std-mutex" raw-mutex "std::mutex"
 rm "$TMP/tests/sneaky_raw_mutex.cc"
 
-# Mutant 4 [ignore-error]: strip the justification comment off a real
+# Mutant 2 [ignore-error]: strip the justification comment off a real
 # IgnoreError call site.
 sed -i '/Faults may kill individual inserts/d;/what the end-state checks assert/d' \
   "$TMP/tests/server/chaos_test.cc"
 grep -q "IgnoreError" "$TMP/tests/server/chaos_test.cc" || \
-  fail "mutant 4 setup: chaos_test.cc no longer calls IgnoreError"
+  fail "mutant 2 setup: chaos_test.cc no longer calls IgnoreError"
 expect_finding "undocumented-ignore-error" ignore-error "justification"
 restore tests/server/chaos_test.cc
 
-# Mutant 5 [status-switch]: drop a case label from the wire-status
+# Mutant 3 [status-switch]: drop a case label from the wire-status
 # decoder — the switch silently stops covering the enum.
 sed -i '/case WireStatus::kBusy:/d' "$TMP/src/server/protocol.cc"
 expect_finding "missing-switch-case" status-switch "kBusy"
 restore src/server/protocol.cc
 
-# Mutant 6 [snapshot-pin]: chain .get() onto a temporary GetSnapshot()
+# Mutant 4 [snapshot-pin]: chain .get() onto a temporary GetSnapshot()
 # result — the RAII pin dies at the end of the expression and the raw
 # Snapshot* reads reclaimable pages.
 cat > "$TMP/tests/sneaky_snapshot_get.cc" <<'EOF'
@@ -98,7 +83,7 @@ EOF
 expect_finding "dangling-snapshot-get" snapshot-pin "temporary GetSnapshot()"
 rm "$TMP/tests/sneaky_snapshot_get.cc"
 
-# Mutant 7 [snapshot-pin]: construct a BTreeView from a raw root outside
+# Mutant 5 [snapshot-pin]: construct a BTreeView from a raw root outside
 # the storage layer and the engine implementation files — bypasses the
 # Snapshot pin entirely.
 cat > "$TMP/tests/sneaky_raw_root.cc" <<'EOF'
@@ -108,7 +93,7 @@ EOF
 expect_finding "raw-root-view" snapshot-pin "BTree::ViewAt"
 rm "$TMP/tests/sneaky_raw_root.cc"
 
-# Mutant 8 [snapshot-pin]: index a Version's raw meta-slot array outside
+# Mutant 6 [snapshot-pin]: index a Version's raw meta-slot array outside
 # the storage layer.
 cat > "$TMP/tests/sneaky_raw_slots.cc" <<'EOF'
 struct Version { unsigned long slots[4]; };

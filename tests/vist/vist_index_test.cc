@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
+#include "common/fault_injection_env.h"
+#include "obs/metrics.h"
 #include "xml/parser.h"
 
 namespace vist {
@@ -48,6 +52,7 @@ class VistIndexTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
+  FaultInjectionEnv fault_env_;  // outlives index_, which may write through it
   std::unique_ptr<VistIndex> index_;
 };
 
@@ -125,6 +130,64 @@ TEST_F(VistIndexTest, DeleteOfAbsentDocumentIsNotFound) {
   EXPECT_TRUE(index_->DeleteDocument(*same_shape->root(), 99).IsNotFound());
   // Document 1 unaffected by the failed attempts.
   EXPECT_EQ(Run("/a/b"), (std::vector<uint64_t>{1}));
+}
+
+// Regression: a commit used to return the status of the page reclaim that
+// runs after the new version is installed. A write fault while freeing
+// the retired pages then failed an insert that readers could already see,
+// and a client retrying it would insert the document twice. The contract:
+// an error means the document is not visible, OK means it is.
+TEST_F(VistIndexTest, FailedReclaimAfterInstallDoesNotFailTheInsert) {
+  VistOptions options;
+  options.env = &fault_env_;
+  CreateIndex(options);
+  auto text = [](uint64_t id) {
+    return "<r><k>v" + std::to_string(id) + "</k></r>";
+  };
+  auto visible = [&](uint64_t id) {
+    const std::string path = "/r/k[text()='v" + std::to_string(id) + "']";
+    return Run(path.c_str()) == std::vector<uint64_t>{id};
+  };
+  // While a snapshot is pinned every page the inserts retire stays in
+  // limbo; the Flush after its release frees them all, so the freelist
+  // can feed the faulted inserts below without growing the file.
+  {
+    auto pin = index_->GetSnapshot();
+    ASSERT_TRUE(pin.ok());
+    for (uint64_t id = 1; id <= 30; ++id) Insert(id, text(id).c_str());
+  }
+  ASSERT_TRUE(index_->Flush().ok());
+  // A few inserts open the next journal batch (its header is a write), so
+  // a faulted insert allocates without writing and its first write is the
+  // reclaim after the install.
+  for (uint64_t id = 31; id <= 33; ++id) Insert(id, text(id).c_str());
+
+  obs::Counter& deferred = obs::GetCounter("storage.mvcc.reclaim_deferred");
+  const uint64_t deferred_before = deferred.value();
+  std::vector<uint64_t> published;
+  for (uint64_t id = 34; id <= 37; ++id) {
+    auto doc = xml::Parse(text(id));
+    ASSERT_TRUE(doc.ok());
+    fault_env_.InjectWriteFaults(-1);
+    Status s = index_->InsertDocument(*doc->root(), id);
+    fault_env_.InjectWriteFaults(0);
+    EXPECT_EQ(visible(id), s.ok()) << "document " << id << ": "
+                                   << s.ToString();
+    if (s.ok()) published.push_back(id);
+  }
+  EXPECT_GT(deferred.value(), deferred_before)
+      << "no insert reached the reclaim after its install";
+
+  // Faults cleared: Flush retries the deferred reclaim, and the index is
+  // intact.
+  ASSERT_TRUE(index_->Flush().ok());
+  auto report = index_->CheckIntegrity();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->problems.front();
+  for (uint64_t id : published) EXPECT_TRUE(visible(id)) << id;
+  auto stats = index_->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->num_documents, 33 + published.size());
 }
 
 TEST_F(VistIndexTest, InsertDeleteInsertRoundTrip) {
