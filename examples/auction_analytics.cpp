@@ -78,8 +78,11 @@ int main(int argc, char** argv) {
     auto start = std::chrono::steady_clock::now();
     auto vist_ids = (*vist_index)->Query(path);
     const double vist_ms = MillisSince(start);
+    vist::obs::QueryProfile node_profile;  // counts the structural joins
+    vist::QueryOptions node_options;
+    node_options.profile = &node_profile;
     start = std::chrono::steady_clock::now();
-    auto node_ids = (*node_index)->Query(path);
+    auto node_ids = (*node_index)->Query(path, node_options);
     const double node_ms = MillisSince(start);
     if (!vist_ids.ok() || !node_ids.ok()) {
       fprintf(stderr, "%s failed: %s / %s\n", path,
@@ -89,7 +92,7 @@ int main(int argc, char** argv) {
     }
     printf("%-4s %-62s %10zu %10.2f %12zu %10.2f   (%llu joins)\n", label,
            path, vist_ids->size(), vist_ms, node_ids->size(), node_ms,
-           (unsigned long long)(*node_index)->last_query_joins());
+           (unsigned long long)node_profile.joins);
   }
 
   printf("\nViST answers each query with a single sequence matching pass; "

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # ViST invariant gate: runs the project-specific linter (scripts/vist_lint.py
-# — raw-mutex ban, IgnoreError justifications, WireStatus/StatusCode switch
-# exhaustiveness, snapshot-pin encapsulation) and verifies the lock-order
-# table in docs/CONCURRENCY.md matches src/common/lock_ranks.h, both
-# directions. When a lockdep edge-graph dump is supplied (--edges FILE, or
-# $VIST_LOCKDEP_EDGES), the observed runtime acquisition order is also
-# diffed against the table — scripts/check_tsan.sh produces such dumps from
-# the stress/faults suites under VIST_DEADLOCK_DEBUG=ON.
+# — raw-mutex ban, IgnoreError justifications, snapshot-pin encapsulation)
+# and verifies the lock-order table in docs/CONCURRENCY.md matches
+# src/common/lock_ranks.h, both directions. When a lockdep edge-graph dump
+# is supplied (--edges FILE, or $VIST_LOCKDEP_EDGES), the observed runtime
+# acquisition order is also diffed against the table — scripts/check_tsan.sh
+# produces such dumps from the stress/faults suites under
+# VIST_DEADLOCK_DEBUG=ON.
 #
 # Exit 77 ("skip, don't fail" — same convention as check_static.sh) when
 # python3 is unavailable on this host. The linter's default engine is

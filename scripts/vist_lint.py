@@ -16,10 +16,6 @@ docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
                    justification comment on the same line or within
                    JUSTIFICATION_WINDOW lines above it.
 
-  [status-switch]  Every switch dispatching on WireStatus or StatusCode
-                   lists every enumerator — the wire protocol and Status
-                   must stay in lockstep when either enum grows.
-
   [snapshot-pin]   Snapshot reads stay pinned and encapsulated. Two
                    shapes are rejected: (a) `.get()`/`->get()` chained
                    onto a temporary `GetSnapshot()` result — the RAII
@@ -35,11 +31,11 @@ docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
                    `vist-lint: allow-raw-root(<reason>)`).
 
 The engine is a dependency-free lexical analyzer (comment/string
-stripping + brace matching over the real sources), so the gate runs on
-any box with python3. When the libclang python bindings are available,
-`--engine=libclang` re-resolves [raw-mutex] hits through the AST to rule
-out false positives from exotic token sequences; without the bindings
-that mode exits 77 (the repo-wide "skip, don't fail" convention — see
+stripping and regular expressions over the real sources), so the gate
+runs on any box with python3. When the libclang python bindings are
+available, `--engine=libclang` re-resolves [raw-mutex] hits through the
+AST to rule out false positives from exotic token sequences; without the
+bindings that mode exits 77 (the repo-wide "skip, don't fail" convention — see
 scripts/check_static.sh).
 
 Beyond linting, this script owns the lock-rank table in
@@ -158,19 +154,6 @@ def line_of(text, pos):
     return text.count("\n", 0, pos) + 1
 
 
-def match_braces(text):
-    """Maps each '{' position to its matching '}' position (text must
-    already be comment/string-stripped)."""
-    pairs = {}
-    stack = []
-    for i, c in enumerate(text):
-        if c == "{":
-            stack.append(i)
-        elif c == "}" and stack:
-            pairs[stack.pop()] = i
-    return pairs
-
-
 def iter_source_files(root):
     for top in SCAN_DIRS:
         base = root / top
@@ -229,64 +212,6 @@ def check_ignore_error(root, path, original_lines, stripped):
             "IgnoreError without a justification comment — say why "
             "discarding this Status is correct (same line or within "
             f"{JUSTIFICATION_WINDOW} lines above)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# [status-switch]
-
-ENUM_RE_TEMPLATE = r"enum\s+class\s+{name}\b[^{{]*\{{"
-ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*(?:=[^,]*)?,?\s*$", re.MULTILINE)
-SWITCH_RE = re.compile(r"\bswitch\s*\(")
-
-STATUS_ENUMS = {
-    # enum name -> header that defines it (relative to root)
-    "WireStatus": "src/server/protocol.h",
-    "StatusCode": "src/common/status.h",
-}
-
-
-def parse_enumerators(root, enum_name, header):
-    path = root / header
-    if not path.is_file():
-        return None
-    stripped = strip_comments_and_strings(path.read_text())
-    match = re.search(ENUM_RE_TEMPLATE.format(name=enum_name), stripped)
-    if not match:
-        return None
-    body_open = stripped.index("{", match.start())
-    pairs = match_braces(stripped)
-    body = stripped[body_open + 1:pairs[body_open]]
-    return [m.group(1) for m in ENUMERATOR_RE.finditer(body)]
-
-
-def check_status_switches(root, path, stripped, enums):
-    findings = []
-    pairs = match_braces(stripped)
-    for match in SWITCH_RE.finditer(stripped):
-        body_open = stripped.find("{", match.end())
-        if body_open == -1 or body_open not in pairs:
-            continue
-        body = stripped[body_open:pairs[body_open]]
-        line = line_of(stripped, match.start())
-        for enum_name, members in enums.items():
-            cases = set(re.findall(
-                r"\bcase\s+(?:\w+::)*{}::(\w+)".format(enum_name), body))
-            if not cases:
-                continue
-            missing = [m for m in members if m not in cases]
-            unknown = sorted(cases - set(members))
-            if missing:
-                findings.append(Finding(
-                    "status-switch", rel(root, path), line,
-                    f"switch on {enum_name} is missing "
-                    f"{', '.join(missing)} — wire protocol and Status must "
-                    "cover every enumerator (no default: fallthrough)"))
-            if unknown:
-                findings.append(Finding(
-                    "status-switch", rel(root, path), line,
-                    f"switch on {enum_name} names unknown enumerator(s) "
-                    f"{', '.join(unknown)}"))
     return findings
 
 
@@ -524,16 +449,6 @@ def refine_raw_mutex_with_libclang(root, findings):
 
 
 def run_lint(root, engine):
-    enums = {}
-    for enum_name, header in STATUS_ENUMS.items():
-        members = parse_enumerators(root, enum_name, header)
-        if members:
-            enums[enum_name] = members
-        else:
-            print(f"warning: could not parse enum {enum_name} from "
-                  f"{header}; [status-switch] coverage reduced",
-                  file=sys.stderr)
-
     findings = []
     for path in iter_source_files(root):
         text = path.read_text(errors="replace")
@@ -541,7 +456,6 @@ def run_lint(root, engine):
         stripped = strip_comments_and_strings(text)
         findings += check_raw_mutex(root, path, original_lines, stripped)
         findings += check_ignore_error(root, path, original_lines, stripped)
-        findings += check_status_switches(root, path, stripped, enums)
         findings += check_snapshot_pin(root, path, original_lines, stripped)
 
     if engine == "libclang":

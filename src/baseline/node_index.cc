@@ -160,9 +160,11 @@ Status NodeIndex::DeleteDocumentImpl(const xml::Node& root, uint64_t doc_id) {
   for (const auto& [symbol, region] : entries) {
     Status s =
         tree_->Delete(EncodeRegionKey(symbol, region.doc, region.start));
-    // Two equal values under one parent label onto distinct preorder ranks,
-    // so keys are unique per document — but deleting a never-inserted
-    // document should not fail louder here than in the other engines.
+    // The root's key (the only level-0 region) names the document; without
+    // it there is nothing to delete.
+    if (s.IsNotFound() && region.level == 0) {
+      return Status::NotFound("document not present with this content");
+    }
     if (!s.ok() && !s.IsNotFound()) return s;
   }
   return Status::OK();
@@ -301,13 +303,6 @@ Result<std::vector<NodeIndex::Region>> NodeIndex::EvalStep(
   return candidates;
 }
 
-Result<std::vector<uint64_t>> NodeIndex::Query(std::string_view path,
-                                               const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
-}
-
 Result<std::shared_ptr<const QueryPlan>> NodeIndex::Prepare(
     std::string_view path, const QueryOptions& /*options*/) {
   // Pure parsing; no index or symbol-table state is read, so no lock.
@@ -340,7 +335,6 @@ Result<std::vector<uint64_t>> NodeIndex::QueryWithPlan(
   DeadlineChecker checker(options.deadline);
   uint64_t query_joins = 0;
   auto result = EvalTree(*snap, node_plan->tree(), &query_joins, &checker);
-  last_query_joins_.store(query_joins, std::memory_order_relaxed);
   joins.Increment(query_joins);
   if (profile != nullptr) {
     profile->joins += query_joins;

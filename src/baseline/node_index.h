@@ -13,7 +13,6 @@
 #ifndef VIST_BASELINE_NODE_INDEX_H_
 #define VIST_BASELINE_NODE_INDEX_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,12 +68,8 @@ class NodeIndex : public QueryableIndex {
   /// Removes a document previously inserted with this exact content under
   /// `doc_id` (the same contract as VistIndex::DeleteDocument): the delete
   /// re-derives the insert's region labels and removes each posting.
+  /// NotFound when no such document is indexed (its root's key is absent).
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
-
-  /// Evaluates a path expression with exact XPath tree-pattern semantics;
-  /// returns sorted matching doc ids.
-  Result<std::vector<uint64_t>> Query(std::string_view path,
-                                      const QueryOptions& options = {}) override;
 
   /// Parses a path expression into a query-tree plan. Always cacheable:
   /// symbol lookup happens at execution time, so the plan never pins a
@@ -83,7 +78,8 @@ class NodeIndex : public QueryableIndex {
       std::string_view path, const QueryOptions& options = {}) override;
 
   /// Executes a plan previously produced by this index's Prepare
-  /// (InvalidArgument for any other plan).
+  /// (InvalidArgument for any other plan) with exact XPath tree-pattern
+  /// semantics; returns sorted matching doc ids.
   Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) override;
 
@@ -96,13 +92,6 @@ class NodeIndex : public QueryableIndex {
 
   /// Writes back every dirty page and syncs the page file.
   Status Flush() override;
-
-  /// Structural joins performed by the last query. With concurrent queries
-  /// "last" means the most recently finished; per-query numbers come from
-  /// the QueryProfile, whose joins field is attributed exactly.
-  uint64_t last_query_joins() const {
-    return last_query_joins_.load(std::memory_order_relaxed);
-  }
 
   uint64_t size_bytes() const { return store_->size_bytes(); }
 
@@ -166,7 +155,6 @@ class NodeIndex : public QueryableIndex {
   SymbolTable* symtab_;
   std::unique_ptr<VersionedStore> store_;
   BTree* tree_ = nullptr;  // owned by store_
-  std::atomic<uint64_t> last_query_joins_{0};
 };
 
 }  // namespace vist

@@ -239,6 +239,11 @@ Status PathIndex::DeleteSequenceImpl(const Sequence& sequence,
     path = element.prefix;
     path.push_back(element.symbol);
     Status s = tree_->Delete(EncodePathEntryKey(path, doc_id));
+    // The root's path is the only one-symbol path, so its key names the
+    // document; without it there is nothing to delete.
+    if (s.IsNotFound() && path.size() == 1) {
+      return Status::NotFound("document not present with this content");
+    }
     // Duplicate root-to-node paths collapse onto one key at insert time,
     // so the second removal of the same key legitimately finds nothing.
     if (!s.ok() && !s.IsNotFound()) return s;
@@ -315,13 +320,6 @@ Result<std::vector<uint64_t>> PathIndex::EvalPathPattern(
   return std::vector<uint64_t>(docs.begin(), docs.end());
 }
 
-Result<std::vector<uint64_t>> PathIndex::Query(std::string_view path,
-                                               const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
-}
-
 Result<std::shared_ptr<const QueryPlan>> PathIndex::Prepare(
     std::string_view path, const QueryOptions& /*options*/) {
   // Pure compilation against the (borrowed, append-only) symbol table; no
@@ -380,7 +378,6 @@ Result<std::vector<uint64_t>> PathIndex::QueryWithPlan(
     result = EvalLeafPatterns(*snap, path_plan->leaf_paths(), &query_joins,
                               &checker);
   }
-  last_query_joins_.store(query_joins, std::memory_order_relaxed);
   joins.Increment(query_joins);
   if (profile != nullptr) {
     profile->joins += query_joins;

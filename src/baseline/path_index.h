@@ -94,16 +94,11 @@ class PathIndex : public QueryableIndex {
 
   /// Removes a sequence previously inserted with this exact content under
   /// `doc_id` (the same contract as VistIndex::DeleteSequence), including
-  /// its refined-path postings. Keys the insert wrote more than once
+  /// its refined-path postings. NotFound when no such document is indexed
+  /// (its root's key is absent). Keys the insert wrote more than once
   /// (duplicate root-to-node paths) are simply gone after the first
   /// removal; the extra removals are not errors.
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
-
-  /// Evaluates a path expression; returns sorted matching doc ids. A path
-  /// string equal to a registered refined path is answered from its
-  /// posting list with zero joins.
-  Result<std::vector<uint64_t>> Query(std::string_view path,
-                                      const QueryOptions& options = {}) override;
 
   /// Compiles a path expression into its root-to-leaf path patterns.
   /// Plans that met a name the (borrowed) symbol table does not know are
@@ -115,7 +110,9 @@ class PathIndex : public QueryableIndex {
       std::string_view path, const QueryOptions& options = {}) override;
 
   /// Executes a plan previously produced by this index's Prepare
-  /// (InvalidArgument for any other plan).
+  /// (InvalidArgument for any other plan); returns sorted matching doc
+  /// ids. A path string equal to a registered refined path is answered
+  /// from its posting list with zero joins.
   Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) override;
 
@@ -133,14 +130,6 @@ class PathIndex : public QueryableIndex {
   /// maintenance-cost metric).
   uint64_t refined_maintenance_checks() const {
     return refined_maintenance_checks_.load(std::memory_order_relaxed);
-  }
-
-  /// Number of join (set-intersection) operations the last query used —
-  /// the cost metric the paper's comparison is about. With concurrent
-  /// queries "last" means the most recently finished; per-query numbers
-  /// come from the QueryProfile, whose joins field is attributed exactly.
-  uint64_t last_query_joins() const {
-    return last_query_joins_.load(std::memory_order_relaxed);
   }
 
   uint64_t size_bytes() const { return store_->size_bytes(); }
@@ -179,7 +168,6 @@ class PathIndex : public QueryableIndex {
   const SymbolTable* symtab_;
   std::unique_ptr<VersionedStore> store_;
   BTree* tree_ = nullptr;  // owned by store_
-  std::atomic<uint64_t> last_query_joins_{0};
 
   /// Copy-on-write refined-path list: writers replace the whole vector
   /// under the writer lock; readers (and snapshots) grab the current one

@@ -164,8 +164,10 @@ class QueryableIndex {
   virtual ~QueryableIndex();
 
   /// Evaluates a path expression; returns sorted matching doc ids.
-  virtual Result<std::vector<uint64_t>> Query(
-      std::string_view path, const QueryOptions& options = {}) = 0;
+  /// Exactly `QueryWithPlan(**Prepare(path, options), options)`; virtual
+  /// so wrappers can serve it another way (exec::CachingIndex's caches).
+  virtual Result<std::vector<uint64_t>> Query(std::string_view path,
+                                              const QueryOptions& options = {});
 
   /// Compiles a path expression into this engine's plan form without
   /// executing it. The returned plan is immutable and shareable.
@@ -173,7 +175,6 @@ class QueryableIndex {
       std::string_view path, const QueryOptions& options = {}) = 0;
 
   /// Executes a plan previously produced by this engine's Prepare.
-  /// `Query(p, o)` is exactly `QueryWithPlan(**Prepare(p, o), o)`.
   virtual Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) = 0;
 

@@ -53,6 +53,16 @@ std::string DocChunkKey(uint64_t doc_id, uint32_t chunk) {
   return key;
 }
 
+// The immediate children of node `parent_n` with D-key `dkey` are the
+// contiguous entry-key range (dkey ‖ parent_n ‖ *): one exact seek,
+// independent of how often the D-key occurs elsewhere. Returns the range's
+// common prefix, which sorts before every key in it.
+std::string ChildRange(const std::string& dkey, uint64_t parent_n) {
+  std::string range = dkey;
+  PutFixed64BE(&range, parent_n);
+  return range;
+}
+
 Status ParseRootRecord(const std::string& value, NodeRecord* record) {
   if (!DecodeNodeRecord(value, record)) {
     return Status::Corruption("malformed virtual-root record");
@@ -194,9 +204,11 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Open(const std::string& dir,
   return index;
 }
 
-Status VistIndex::LoadRootRecord(NodeRecord* record) {
+Result<VistIndex::PathEntry> VistIndex::LoadRootEntry() {
+  PathEntry root{root_key_, {}};
   VIST_ASSIGN_OR_RETURN(std::string value, entry_tree_->Get(root_key_));
-  return ParseRootRecord(value, record);
+  VIST_RETURN_IF_ERROR(ParseRootRecord(value, &root.record));
+  return root;
 }
 
 Status VistIndex::LoadRootRecordAt(const BTreeView& tree,
@@ -210,33 +222,25 @@ Status VistIndex::WriteRecord(const std::string& entry_key,
   return entry_tree_->Put(entry_key, EncodeNodeRecord(record));
 }
 
-Result<bool> VistIndex::FindImmediateChild(const std::string& dkey,
-                                           const NodeRecord& parent,
-                                           PathEntry* out) {
-  // Immediate children are the contiguous range (dkey ‖ parent.n ‖ *): one
-  // exact seek, independent of how often the D-key occurs elsewhere.
+Result<std::vector<VistIndex::PathEntry>> VistIndex::ReadChildren(
+    const std::string& child_range, size_t limit) {
+  std::vector<PathEntry> children;
   auto it = entry_tree_->NewIterator();
-  const std::string lo = EncodeEntryKey(dkey, parent.n, 0);
-  it->Seek(lo);
-  if (it->Valid()) {
-    Slice dkey_slice;
-    uint64_t parent_n = 0, n = 0;
-    if (DecodeEntryKey(it->key(), &dkey_slice, &parent_n, &n) &&
-        dkey_slice.size() == dkey.size() && it->key().StartsWith(dkey) &&
-        parent_n == parent.n) {
-      NodeRecord record;
-      if (!DecodeNodeRecord(it->value(), &record)) {
-        return Status::Corruption("malformed node record");
-      }
-      record.n = n;
-      record.parent_n = parent_n;
-      out->key = it->key().ToString();
-      out->record = record;
-      return true;
+  for (it->Seek(child_range); it->Valid() &&
+                              it->key().StartsWith(child_range) &&
+                              children.size() < limit;
+       it->Next()) {
+    PathEntry child{it->key().ToString(), {}};
+    Slice dkey;
+    if (!DecodeEntryKey(it->key(), &dkey, &child.record.parent_n,
+                        &child.record.n) ||
+        !DecodeNodeRecord(it->value(), &child.record)) {
+      return Status::Corruption("malformed entry");
     }
+    children.push_back(std::move(child));
   }
   VIST_RETURN_IF_ERROR(it->status());
-  return false;
+  return children;
 }
 
 std::shared_ptr<const VistSnapshot> VistIndex::PinSnapshot() const {
@@ -267,57 +271,61 @@ Status VistIndex::InsertSequenceImpl(const Sequence& sequence,
   }
   VistMetrics::Get().insert_sequences.Increment();
   obs::ScopedTimer timer(VistMetrics::Get().insert_latency_us);
-  std::vector<PathEntry> path;
-  path.emplace_back();
-  path[0].key = root_key_;
-  path[0].symbol = kInvalidSymbol;
-  VIST_RETURN_IF_ERROR(LoadRootRecord(&path[0].record));
-
-  for (size_t i = 0; i < sequence.size(); ++i) {
-    const SequenceElement& elem = sequence[i];
-    const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
-    PathEntry child;
-    VIST_ASSIGN_OR_RETURN(bool found,
-                          FindImmediateChild(dkey, path.back().record, &child));
-    if (found) {
-      child.symbol = elem.symbol;
-      path.push_back(std::move(child));
-      continue;
-    }
-    PathEntry& parent = path.back();
-    Scope scope = allocator_->AllocateChild(
-        &parent.record, parent.symbol, elem.symbol,
-        static_cast<uint32_t>(elem.prefix.size()));
-    parent.dirty = true;
-    if (!scope.valid()) {
-      VIST_RETURN_IF_ERROR(InsertUnderflowRun(sequence, &path));
-      break;
-    }
-    PathEntry fresh;
-    fresh.key = EncodeEntryKey(dkey, parent.record.n, scope.n);
-    fresh.symbol = elem.symbol;
-    fresh.record.n = scope.n;
-    fresh.record.size = scope.size;
-    fresh.record.parent_n = parent.record.n;
-    allocator_->InitRecord(&fresh.record);
-    fresh.dirty = true;
-    path.push_back(std::move(fresh));
-  }
-  // Commit: bump refcounts along the final path and persist every new or
-  // mutated record. Nothing was written before this point, so allocation
-  // failures above leave the index untouched.
+  std::vector<PathEntry> path(1);
+  VIST_ASSIGN_OR_RETURN(path[0], LoadRootEntry());
+  VIST_RETURN_IF_ERROR(WalkInsertPath(
+      sequence,
+      [this](const std::string& child_range, PathEntry* child) -> Result<bool> {
+        VIST_ASSIGN_OR_RETURN(std::vector<PathEntry> children,
+                              ReadChildren(child_range, /*limit=*/1));
+        if (children.empty()) return false;
+        *child = std::move(children.front());
+        return true;
+      },
+      &path));
+  // Commit: bump refcounts along the final path and persist every record
+  // on it. Nothing was written before this point, so allocation failures
+  // above leave the index untouched.
   for (PathEntry& entry : path) {
     ++entry.record.refcount;
     VIST_RETURN_IF_ERROR(WriteRecord(entry.key, entry.record));
   }
-  VIST_RETURN_IF_ERROR(docid_tree_->Put(
-      EncodeDocIdKey(path.back().record.n, doc_id), Slice()));
+  return docid_tree_->Put(EncodeDocIdKey(path.back().record.n, doc_id),
+                          Slice());
+}
 
+Status VistIndex::WalkInsertPath(const Sequence& sequence,
+                                 const ChildLookup& find_child,
+                                 std::vector<PathEntry>* path) {
   uint64_t depth = max_depth();
   for (const SequenceElement& elem : sequence) {
     depth = std::max<uint64_t>(depth, elem.prefix.size());
   }
   set_max_depth(depth);
+
+  // path[i] covers sequence element i-1 (path[0] is the virtual root).
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    const SequenceElement& elem = sequence[i];
+    const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
+    NodeRecord& parent = path->back().record;
+    PathEntry child;
+    VIST_ASSIGN_OR_RETURN(bool found,
+                          find_child(ChildRange(dkey, parent.n), &child));
+    if (!found) {
+      const Symbol parent_symbol =
+          i == 0 ? kInvalidSymbol : sequence[i - 1].symbol;
+      const Scope scope = allocator_->AllocateChild(
+          &parent, parent_symbol, elem.symbol,
+          static_cast<uint32_t>(elem.prefix.size()));
+      if (!scope.valid()) return InsertUnderflowRun(sequence, path);
+      child.key = EncodeEntryKey(dkey, parent.n, scope.n);
+      child.record.n = scope.n;
+      child.record.size = scope.size;
+      child.record.parent_n = parent.n;
+      allocator_->InitRecord(&child.record);
+    }
+    path->push_back(std::move(child));
+  }
   return Status::OK();
 }
 
@@ -328,38 +336,35 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
   // remaining elements plus duplicates of the intermediates it skips
   // (§3.4.1: "we borrow scopes from the parent nodes").
   for (size_t j = path->size(); j-- > 0;) {
-    PathEntry& ancestor = (*path)[j];
+    NodeRecord& ancestor = (*path)[j].record;
     // path[j] covers sequence element j-1 (path[0] is the virtual root), so
     // elements j..total-1 need labels inside this ancestor.
     const uint64_t run_len = total - j;
-    const uint64_t usable_end = allocator_->UsableEnd(ancestor.record);
-    if (ancestor.record.seq_cursor < usable_end + run_len ||
-        ancestor.record.seq_cursor < run_len) {
+    const uint64_t usable_end = allocator_->UsableEnd(ancestor);
+    if (ancestor.seq_cursor < usable_end + run_len ||
+        ancestor.seq_cursor < run_len) {
       continue;  // reserve exhausted here; climb further
     }
-    const uint64_t run_lo = ancestor.record.seq_cursor - run_len;
-    ancestor.record.seq_cursor = run_lo;
-    ancestor.dirty = true;
+    const uint64_t run_lo = ancestor.seq_cursor - run_len;
+    ancestor.seq_cursor = run_lo;
     set_underflow_runs(underflow_runs() + 1);
     VistMetrics::Get().underflow_runs.Increment();
 
     // The doc's path now diverges at the ancestor: the abandoned tail
     // entries were never written (all writes are deferred), so dropping
     // them rolls their allocations back.
+    const uint64_t anchor_n = ancestor.n;
     path->resize(j + 1);
     for (uint64_t t = 0; t < run_len; ++t) {
       const SequenceElement& elem = sequence[j + t];
       PathEntry entry;
-      entry.symbol = elem.symbol;
       entry.record.n = run_lo + t;
       entry.record.size = run_len - t;
-      entry.record.parent_n =
-          t == 0 ? ancestor.record.n : run_lo + t - 1;
+      entry.record.parent_n = t == 0 ? anchor_n : run_lo + t - 1;
       entry.record.next_free = entry.record.n + 1;
       entry.record.seq_cursor = entry.record.n + entry.record.size;
       entry.key = EncodeEntryKey(EncodeDKey(elem.symbol, elem.prefix),
                                  entry.record.parent_n, entry.record.n);
-      entry.dirty = true;
       path->push_back(std::move(entry));
     }
     return Status::OK();
@@ -378,125 +383,42 @@ Status VistIndex::BulkLoadSequences(
 
 Status VistIndex::BulkLoadSequencesImpl(
     const std::vector<std::pair<uint64_t, Sequence>>& documents) {
-  {
-    NodeRecord root;
-    VIST_RETURN_IF_ERROR(LoadRootRecord(&root));
-    if (root.refcount != 0) {
-      return Status::InvalidArgument("bulk load requires an empty index");
-    }
+  VIST_ASSIGN_OR_RETURN(PathEntry root, LoadRootEntry());
+  if (root.record.refcount != 0) {
+    return Status::InvalidArgument("bulk load requires an empty index");
   }
-  // Staged virtual suffix tree: entry key -> record. Because immediate
-  // children of a node are a contiguous key range (dkey ‖ parent_n ‖ *),
-  // an ordered map supports the same child lookup the B+ tree does.
+  // The staged virtual suffix tree, virtual root included: entry key ->
+  // record. Each document runs the insert walk with child lookups in this
+  // map instead of the B+ tree, so its labels are exactly those dynamic
+  // insertion would give; the map then reaches the B+ tree in key order.
   std::map<std::string, NodeRecord> staged;
-  std::vector<std::pair<uint64_t, uint64_t>> doc_labels;  // (n, doc_id)
-  NodeRecord root;
-  VIST_RETURN_IF_ERROR(LoadRootRecord(&root));
-  uint64_t depth = max_depth();
-  uint64_t underflows = underflow_runs();
-
-  // Each document's path holds *copies* of the records it touches and is
-  // committed into `staged` only at the end — identical to the dynamic
-  // insert's deferred writes, so a scope underflow can roll back the
-  // document's own earlier allocations by truncating the path.
-  struct StagedEntry {
-    std::string key;  // empty for the virtual root
-    NodeRecord record;
-    Symbol symbol = kInvalidSymbol;
+  const auto root_it = staged.emplace(root.key, root.record).first;
+  const ChildLookup find_staged = [&staged](const std::string& child_range,
+                                            PathEntry* child) -> Result<bool> {
+    const auto it = staged.lower_bound(child_range);
+    if (it == staged.end() || !Slice(it->first).StartsWith(child_range)) {
+      return false;
+    }
+    *child = {it->first, it->second};
+    return true;
   };
+  std::vector<std::pair<uint64_t, uint64_t>> doc_labels;  // (n, doc_id)
   for (const auto& [doc_id, sequence] : documents) {
     if (sequence.empty()) {
       return Status::InvalidArgument("cannot index an empty sequence");
     }
     VistMetrics::Get().bulk_load_sequences.Increment();
-    std::vector<StagedEntry> path;
-    path.push_back({"", root, kInvalidSymbol});
-    bool done = false;
-    for (size_t i = 0; i < sequence.size() && !done; ++i) {
-      const SequenceElement& elem = sequence[i];
-      const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
-      StagedEntry& parent = path.back();
-      const std::string child_prefix =
-          EncodeEntryKey(dkey, parent.record.n, 0);
-      auto it = staged.lower_bound(child_prefix);
-      if (it != staged.end() &&
-          Slice(it->first)
-              .StartsWith(Slice(child_prefix.data(),
-                                child_prefix.size() - 8))) {
-        path.push_back({it->first, it->second, elem.symbol});
-        continue;
-      }
-      Scope scope = allocator_->AllocateChild(
-          &parent.record, parent.symbol, elem.symbol,
-          static_cast<uint32_t>(elem.prefix.size()));
-      if (scope.valid()) {
-        StagedEntry fresh;
-        fresh.key = EncodeEntryKey(dkey, parent.record.n, scope.n);
-        fresh.symbol = elem.symbol;
-        fresh.record.n = scope.n;
-        fresh.record.parent_n = parent.record.n;
-        fresh.record.size = scope.size;
-        allocator_->InitRecord(&fresh.record);
-        path.push_back(std::move(fresh));
-        continue;
-      }
-      // Scope underflow: same strategy as InsertUnderflowRun; truncating
-      // the path discards this document's uncommitted tail allocations.
-      bool placed = false;
-      for (size_t j = path.size(); j-- > 0;) {
-        NodeRecord& ancestor = path[j].record;
-        const uint64_t run_len = sequence.size() - j;
-        const uint64_t usable_end = allocator_->UsableEnd(ancestor);
-        if (ancestor.seq_cursor < usable_end + run_len ||
-            ancestor.seq_cursor < run_len) {
-          continue;
-        }
-        const uint64_t run_lo = ancestor.seq_cursor - run_len;
-        ancestor.seq_cursor = run_lo;
-        ++underflows;
-        VistMetrics::Get().underflow_runs.Increment();
-        const uint64_t anchor_n = ancestor.n;
-        path.resize(j + 1);
-        for (uint64_t t = 0; t < run_len; ++t) {
-          const SequenceElement& run_elem = sequence[j + t];
-          StagedEntry entry;
-          entry.symbol = run_elem.symbol;
-          entry.record.n = run_lo + t;
-          entry.record.parent_n = t == 0 ? anchor_n : run_lo + t - 1;
-          entry.record.size = run_len - t;
-          entry.record.next_free = entry.record.n + 1;
-          entry.record.seq_cursor = entry.record.n + entry.record.size;
-          entry.key = EncodeEntryKey(
-              EncodeDKey(run_elem.symbol, run_elem.prefix),
-              entry.record.parent_n, entry.record.n);
-          path.push_back(std::move(entry));
-        }
-        placed = true;
-        break;
-      }
-      if (!placed) {
-        return Status::ScopeOverflow(
-            "no ancestor reserve can hold the remaining elements");
-      }
-      done = true;
-    }
-    // Commit the document into the staging area.
-    for (StagedEntry& entry : path) {
+    std::vector<PathEntry> path{{root_it->first, root_it->second}};
+    VIST_RETURN_IF_ERROR(WalkInsertPath(sequence, find_staged, &path));
+    for (PathEntry& entry : path) {
       ++entry.record.refcount;
-      if (entry.key.empty()) {
-        root = entry.record;
-      } else {
-        staged[entry.key] = entry.record;
-      }
+      staged[entry.key] = entry.record;
     }
     doc_labels.emplace_back(path.back().record.n, doc_id);
-    for (const SequenceElement& elem : sequence) {
-      depth = std::max<uint64_t>(depth, elem.prefix.size());
-    }
   }
 
-  // Write everything in key order: root record, entries, then doc ids.
-  VIST_RETURN_IF_ERROR(WriteRecord(root_key_, root));
+  // Write everything in key order: entries (the virtual root sorts
+  // first), then doc ids.
   for (const auto& [key, record] : staged) {
     VIST_RETURN_IF_ERROR(WriteRecord(key, record));
   }
@@ -505,8 +427,6 @@ Status VistIndex::BulkLoadSequencesImpl(
     VIST_RETURN_IF_ERROR(
         docid_tree_->Put(EncodeDocIdKey(n, doc_id), Slice()));
   }
-  set_max_depth(depth);
-  set_underflow_runs(underflows);
   return Status::OK();
 }
 
@@ -545,42 +465,17 @@ Result<bool> VistIndex::TryDelete(const Sequence& sequence, size_t i,
     VIST_RETURN_IF_ERROR(WriteRecord(root.key, root.record));
     return true;
   }
-  const SequenceElement& elem = sequence[i];
-  const std::string dkey = EncodeDKey(elem.symbol, elem.prefix);
-
   // Collect the candidate children first: scope underflow can duplicate a
   // (symbol, prefix) under one parent, and the doc id lives on only one of
   // the resulting paths.
-  std::vector<PathEntry> candidates;
-  {
-    const uint64_t parent_label = path->back().record.n;
-    auto it = entry_tree_->NewIterator();
-    it->Seek(EncodeEntryKey(dkey, parent_label, 0));
-    while (it->Valid() && it->key().StartsWith(dkey)) {
-      Slice dkey_slice;
-      uint64_t parent_n = 0, n = 0;
-      if (!DecodeEntryKey(it->key(), &dkey_slice, &parent_n, &n) ||
-          dkey_slice.size() != dkey.size()) {
-        break;
-      }
-      if (parent_n != parent_label) break;
-      NodeRecord record;
-      if (!DecodeNodeRecord(it->value(), &record)) {
-        return Status::Corruption("malformed node record");
-      }
-      PathEntry candidate;
-      candidate.key = it->key().ToString();
-      candidate.record = record;
-      candidate.record.n = n;
-      candidate.record.parent_n = parent_n;
-      candidate.symbol = elem.symbol;
-      candidates.push_back(std::move(candidate));
-      it->Next();
-    }
-    VIST_RETURN_IF_ERROR(it->status());
-  }
+  const SequenceElement& elem = sequence[i];
+  VIST_ASSIGN_OR_RETURN(
+      std::vector<PathEntry> candidates,
+      ReadChildren(ChildRange(EncodeDKey(elem.symbol, elem.prefix),
+                              path->back().record.n),
+                   /*limit=*/SIZE_MAX));
   for (PathEntry& candidate : candidates) {
-    path->push_back(candidate);
+    path->push_back(std::move(candidate));
     VIST_ASSIGN_OR_RETURN(bool deleted,
                           TryDelete(sequence, i + 1, doc_id, path));
     if (deleted) return true;
@@ -602,11 +497,8 @@ Status VistIndex::DeleteSequenceImpl(const Sequence& sequence,
     return Status::InvalidArgument("cannot delete an empty sequence");
   }
   VistMetrics::Get().delete_sequences.Increment();
-  std::vector<PathEntry> path;
-  path.emplace_back();
-  path[0].key = root_key_;
-  path[0].symbol = kInvalidSymbol;
-  VIST_RETURN_IF_ERROR(LoadRootRecord(&path[0].record));
+  std::vector<PathEntry> path(1);
+  VIST_ASSIGN_OR_RETURN(path[0], LoadRootEntry());
   VIST_ASSIGN_OR_RETURN(bool deleted, TryDelete(sequence, 0, doc_id, &path));
   if (!deleted) {
     return Status::NotFound("document not present with this content");
@@ -641,13 +533,6 @@ Result<std::vector<uint64_t>> VistIndex::QueryCompiledImpl(
                        snap.version_->slots[kMaxDepthSlot], collect_doc_ids,
                        checker};
   return MatchCompiledQuery(context, compiled, profile);
-}
-
-Result<std::vector<uint64_t>> VistIndex::Query(std::string_view path,
-                                               const QueryOptions& options) {
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        Prepare(path, options));
-  return QueryWithPlan(*plan, options);
 }
 
 Result<std::shared_ptr<const QueryPlan>> VistIndex::Prepare(

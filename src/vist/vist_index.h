@@ -32,6 +32,7 @@
 #ifndef VIST_VIST_VIST_INDEX_H_
 #define VIST_VIST_VIST_INDEX_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,11 +126,12 @@ class VistIndex : public QueryableIndex {
   /// Indexes a pre-built sequence (no document store entry).
   Status InsertSequence(const Sequence& sequence, uint64_t doc_id);
 
-  /// Bulk-loads a whole corpus into a still-empty index. Semantically
-  /// identical to inserting each sequence in order (same dynamic labels),
-  /// but entries are staged in memory and written to the B+ trees in key
-  /// order, which packs pages densely and clusters D-key ranges — the
-  /// locality a one-at-a-time build cannot get. Memory: O(total entries).
+  /// Bulk-loads a whole corpus into a still-empty index. Runs the same
+  /// insert walk as InsertSequence for each sequence in order (so the
+  /// same dynamic labels), but against an in-memory staging map whose
+  /// entries are then written to the B+ trees in key order, which packs
+  /// pages densely and clusters D-key ranges — the locality a
+  /// one-at-a-time build cannot get. Memory: O(total entries).
   /// One copy-on-write transaction: concurrent readers see the empty
   /// index until the load commits, then the full corpus.
   Status BulkLoadSequences(
@@ -138,11 +140,6 @@ class VistIndex : public QueryableIndex {
   /// Removes a document previously inserted with this exact content.
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
-
-  /// Evaluates a path expression; returns sorted matching doc ids.
-  /// Equivalent to Prepare + QueryWithPlan.
-  Result<std::vector<uint64_t>> Query(std::string_view path,
-                                      const QueryOptions& options = {}) override;
 
   /// Compiles a path expression (parse → query tree → query sequences
   /// against the symbol table) without executing it. The plan is cacheable
@@ -226,23 +223,42 @@ class VistIndex : public QueryableIndex {
 
   /// Opens index.db and creates (`create`) or opens its trees.
   Status InitTrees(bool create);
-  /// Writer-side root-record read (working tree).
-  Status LoadRootRecord(NodeRecord* record);
+
+  /// One node on a document's root-to-leaf path: a copy of its record,
+  /// written back by whoever commits the path.
+  struct PathEntry {
+    std::string key;  // entry key in the combined tree
+    NodeRecord record;
+  };
+
+  /// Writer-side: the virtual root's entry in the working tree, which
+  /// heads every insert and delete path.
+  Result<PathEntry> LoadRootEntry();
   /// Reader-side root-record read through a snapshot view.
   Status LoadRootRecordAt(const BTreeView& tree, NodeRecord* record) const;
   Status WriteRecord(const std::string& entry_key, const NodeRecord& record);
 
-  struct PathEntry {
-    std::string key;  // entry key in the combined tree
-    NodeRecord record;
-    Symbol symbol = kInvalidSymbol;  // element symbol (root: invalid)
-    bool dirty = false;
-  };
+  /// Writer-side: up to `limit` entries of the working tree whose keys
+  /// start with `child_range` (a D-key ‖ a parent label, so the parent's
+  /// immediate children with that D-key), in label order. Scope underflow
+  /// can give one parent several children with the same D-key.
+  Result<std::vector<PathEntry>> ReadChildren(const std::string& child_range,
+                                              size_t limit);
 
-  /// Finds the immediate child of `parent` with the given D-key, if any
-  /// (writer-side: reads the working tree during an insert/delete).
-  Result<bool> FindImmediateChild(const std::string& dkey,
-                                  const NodeRecord& parent, PathEntry* out);
+  /// Finds the first existing child in `child_range`, filling `child`.
+  using ChildLookup =
+      std::function<Result<bool>(const std::string& child_range,
+                                 PathEntry* child)>;
+
+  /// Algorithm 4: extends `path`, which holds the virtual root, by one
+  /// entry per element of `sequence`. Reuses the child `find_child`
+  /// returns, else asks the scope allocator for a new scope, and on scope
+  /// underflow hands the rest of the sequence to InsertUnderflowRun. Also
+  /// raises the max_depth scalar. Reads only through `find_child` and
+  /// writes no entry: the caller commits `path`, or drops it to roll back.
+  Status WalkInsertPath(const Sequence& sequence,
+                        const ChildLookup& find_child,
+                        std::vector<PathEntry>* path);
 
   /// Scope underflow (§3.4.1): labels the remaining elements sequentially
   /// from the nearest ancestor reserve with room, rebuilding the path tail

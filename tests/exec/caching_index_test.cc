@@ -199,9 +199,19 @@ TEST_F(CachingIndexTest, RejectedMutationBumpsOnceAndPublishesNothing) {
   ASSERT_TRUE(paths.ok());
   ExpectRejectedMutation(paths->get(), "AddRefinedPath of a malformed path",
                          [&] { return (*paths)->AddRefinedPath("/doc[u1"); });
+  ASSERT_TRUE((*paths)->InsertSequence(seq, 1).ok());
+  ASSERT_TRUE((*paths)->Flush().ok());
+  ExpectRejectedMutation(
+      paths->get(), "PathIndex delete of an absent document",
+      [&] { return (*paths)->DeleteSequence(seq, 7); });
 
   auto nodes = NodeIndex::Create(dir_ + "/nodes", index->symbols());
   ASSERT_TRUE(nodes.ok());
+  ASSERT_TRUE((*nodes)->InsertDocument(*doc.root(), 1).ok());
+  ASSERT_TRUE((*nodes)->Flush().ok());
+  ExpectRejectedMutation(
+      nodes->get(), "NodeIndex delete of an absent document",
+      [&] { return (*nodes)->DeleteDocument(*doc.root(), 7); });
   Router router(index.get(), paths->get(), nodes->get());
   xml::Document absent = MustParse(UniqueDoc(5));
   ExpectRejectedMutation(&router, "Router delete of an absent document", [&] {

@@ -5,10 +5,10 @@
 # any of them compiles, or if a rejection comes from the wrong diagnostic
 # (e.g. a broken include rather than the lint we are testing).
 #
-# Three cases are compiler-agnostic ([[nodiscard]] on Status/Result,
-# -Wshadow); the thread-safety cases need clang and are skipped, loudly,
-# under other compilers. control_ok.cc must compile with every flag — it
-# guards against the gates rejecting *correct* code.
+# Four cases are compiler-agnostic ([[nodiscard]] on Status/Result,
+# -Wshadow, -Wswitch-enum); the thread-safety cases need clang and are
+# skipped, loudly, under other compilers. control_ok.cc must compile with
+# every flag — it guards against the gates rejecting *correct* code.
 #
 # Usage: compile_fail_test.sh <c++-compiler> <src-include-dir> <cases-dir>
 set -u
@@ -68,6 +68,7 @@ expect_ok() {
 expect_fail discarded_status.cc nodiscard -Werror=unused-result
 expect_fail discarded_result.cc nodiscard -Werror=unused-result
 expect_fail shadowed_local.cc shadow -Werror=shadow
+expect_fail defaulted_status_switch.cc switch-enum -Werror=switch-enum
 
 # Thread-safety rejections (clang only).
 if [[ "$HAVE_TSA" == "1" ]]; then
@@ -75,16 +76,17 @@ if [[ "$HAVE_TSA" == "1" ]]; then
   expect_fail missing_requires.cc thread-safety -Werror=thread-safety
   expect_fail unlocked_mutation.cc thread-safety -Werror=thread-safety
   expect_ok control_ok.cc -Werror=unused-result -Werror=shadow \
-    -Werror=thread-safety
+    -Werror=switch-enum -Werror=thread-safety
 else
   echo "skip: thread-safety cases ($CXX lacks -Wthread-safety; need clang)"
   skipped=3
-  expect_ok control_ok.cc -Werror=unused-result -Werror=shadow
+  expect_ok control_ok.cc -Werror=unused-result -Werror=shadow \
+    -Werror=switch-enum
 fi
 
 echo "compile-fail: $ran rejected, $skipped skipped, $failures failures"
-if (( ran < 3 )); then
-  echo "FAIL: fewer than 3 violation classes demonstrated"
+if (( ran < 4 )); then
+  echo "FAIL: fewer than 4 violation classes demonstrated"
   exit 1
 fi
 exit $(( failures > 0 ? 1 : 0 ))

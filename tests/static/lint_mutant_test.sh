@@ -65,13 +65,7 @@ grep -q "IgnoreError" "$TMP/tests/server/chaos_test.cc" || \
 expect_finding "undocumented-ignore-error" ignore-error "justification"
 restore tests/server/chaos_test.cc
 
-# Mutant 3 [status-switch]: drop a case label from the wire-status
-# decoder — the switch silently stops covering the enum.
-sed -i '/case WireStatus::kBusy:/d' "$TMP/src/server/protocol.cc"
-expect_finding "missing-switch-case" status-switch "kBusy"
-restore src/server/protocol.cc
-
-# Mutant 4 [snapshot-pin]: chain .get() onto a temporary GetSnapshot()
+# Mutant 3 [snapshot-pin]: chain .get() onto a temporary GetSnapshot()
 # result — the RAII pin dies at the end of the expression and the raw
 # Snapshot* reads reclaimable pages.
 cat > "$TMP/tests/sneaky_snapshot_get.cc" <<'EOF'
@@ -83,7 +77,7 @@ EOF
 expect_finding "dangling-snapshot-get" snapshot-pin "temporary GetSnapshot()"
 rm "$TMP/tests/sneaky_snapshot_get.cc"
 
-# Mutant 5 [snapshot-pin]: construct a BTreeView from a raw root outside
+# Mutant 4 [snapshot-pin]: construct a BTreeView from a raw root outside
 # the storage layer and the engine implementation files — bypasses the
 # Snapshot pin entirely.
 cat > "$TMP/tests/sneaky_raw_root.cc" <<'EOF'
@@ -93,7 +87,7 @@ EOF
 expect_finding "raw-root-view" snapshot-pin "BTree::ViewAt"
 rm "$TMP/tests/sneaky_raw_root.cc"
 
-# Mutant 6 [snapshot-pin]: index a Version's raw meta-slot array outside
+# Mutant 5 [snapshot-pin]: index a Version's raw meta-slot array outside
 # the storage layer.
 cat > "$TMP/tests/sneaky_raw_slots.cc" <<'EOF'
 struct Version { unsigned long slots[4]; };
