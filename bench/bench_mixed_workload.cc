@@ -194,7 +194,9 @@ void ClientLoop(uint16_t port, int corpus_docs, double read_fraction,
   }
   // Leave the id range empty so the next cell starts from the same state.
   if (alive && pending_insert) {
-    IgnoreError(client->Delete(UniqueDoc(write_base), write_base));
+    IgnoreError(client->Delete(UniqueDoc(write_base), write_base),
+                "best-effort: a failed delete leaves one extra doc for the "
+                "next cell");
   }
 }
 
@@ -296,9 +298,10 @@ Cell RunWriterBurst(uint16_t port, int corpus_docs, int threads,
         }
         for (int i = 0; i < burst_ops; ++i) {
           const uint64_t id = base + static_cast<uint64_t>(i);
-          // Best-effort cleanup between bursts; a failed delete only means
-          // the next burst inserts over a live id, which the bench allows.
-          IgnoreError(client->Delete(UniqueDoc(id), id));
+          IgnoreError(client->Delete(UniqueDoc(id), id),
+                      "best-effort cleanup between bursts; a failed delete "
+                      "only means the next burst inserts over a live id, "
+                      "which the bench allows");
         }
       });
   cell.scenario = "writer_burst";
@@ -351,9 +354,9 @@ std::pair<Cell, Cell> RunWriterStall(QueryableIndex* index,
       inserted.fetch_add(1, std::memory_order_relaxed);
     }
     for (uint64_t i = 0; i < inserted.load(std::memory_order_relaxed); ++i) {
-      // Best-effort restore so later scenario cells start from the same
-      // corpus; a leftover doc only shifts their id ranges, never results.
-      IgnoreError(client->Delete(UniqueDoc(base + i), base + i));
+      IgnoreError(client->Delete(UniqueDoc(base + i), base + i),
+                  "best-effort restore so later cells start from the same "
+                  "corpus; a leftover doc only shifts their id ranges");
     }
   });
   Cell stall = RunCell(port, corpus_docs, /*read_fraction=*/1.0,

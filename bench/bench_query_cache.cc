@@ -11,8 +11,8 @@
 // hits while the hot set stays resident).
 //
 // Emits BENCH_query_cache.json: for every (repeat_rate, threads) cell the
-// cached and uncached qps, the speedup, and the cache hit rates measured
-// from the cache.* counter deltas (docs/OBSERVABILITY.md). The headline
+// cached and uncached qps, the speedup, and the result hit rate measured
+// from the cache.result.* counter deltas (docs/OBSERVABILITY.md). The headline
 // acceptance number is the 95%-repeat speedup, expected well above 5x.
 
 #include <atomic>
@@ -73,7 +73,6 @@ struct Cell {
   double uncached_qps = 0;
   double cached_qps = 0;
   double result_hit_rate = 0;
-  double plan_hit_rate = 0;
 
   double speedup() const {
     return uncached_qps > 0 ? cached_qps / uncached_qps : 0;
@@ -142,10 +141,7 @@ Cell MeasureCell(VistIndex* index, double repeat_rate, int threads) {
   exec::CachingIndex cache(index, options);
   obs::Counter& result_hits = obs::GetCounter("cache.result.hits");
   obs::Counter& result_misses = obs::GetCounter("cache.result.misses");
-  obs::Counter& plan_hits = obs::GetCounter("cache.plan.hits");
-  obs::Counter& plan_misses = obs::GetCounter("cache.plan.misses");
   const uint64_t rh0 = result_hits.value(), rm0 = result_misses.value();
-  const uint64_t ph0 = plan_hits.value(), pm0 = plan_misses.value();
 
   auto cached = RunWindow(&cache,
                           static_cast<int>(index->Stats()->num_documents),
@@ -155,12 +151,8 @@ Cell MeasureCell(VistIndex* index, double repeat_rate, int threads) {
 
   const uint64_t rh = result_hits.value() - rh0;
   const uint64_t rm = result_misses.value() - rm0;
-  const uint64_t ph = plan_hits.value() - ph0;
-  const uint64_t pm = plan_misses.value() - pm0;
   cell.result_hit_rate =
       rh + rm > 0 ? static_cast<double>(rh) / static_cast<double>(rh + rm) : 0;
-  cell.plan_hit_rate =
-      ph + pm > 0 ? static_cast<double>(ph) / static_cast<double>(ph + pm) : 0;
   return cell;
 }
 
@@ -185,10 +177,9 @@ void WriteJson(const std::vector<Cell>& cells, int docs) {
             "    {\"repeat_rate\": %.2f, \"threads\": %d, "
             "\"uncached_qps\": %.1f, \"cached_qps\": %.1f, "
             "\"speedup\": %.2f, \"result_hit_rate\": %.4f, "
-            "\"plan_hit_rate\": %.4f, \"uncached_queries\": %llu, "
-            "\"cached_queries\": %llu}%s\n",
+            "\"uncached_queries\": %llu, \"cached_queries\": %llu}%s\n",
             cell.repeat_rate, cell.threads, cell.uncached_qps, cell.cached_qps,
-            cell.speedup(), cell.result_hit_rate, cell.plan_hit_rate,
+            cell.speedup(), cell.result_hit_rate,
             static_cast<unsigned long long>(cell.uncached_queries),
             static_cast<unsigned long long>(cell.cached_queries),
             i + 1 < cells.size() ? "," : "");
@@ -199,13 +190,12 @@ void WriteJson(const std::vector<Cell>& cells, int docs) {
 
 void PrintSummary(const std::vector<Cell>& cells) {
   printf("\n=== Query-cache throughput (%d ms windows) ===\n", kWindowMs);
-  printf("%-8s %8s %14s %14s %9s %9s %9s\n", "repeat", "threads",
-         "uncached qps", "cached qps", "speedup", "res hit", "plan hit");
+  printf("%-8s %8s %14s %14s %9s %9s\n", "repeat", "threads",
+         "uncached qps", "cached qps", "speedup", "res hit");
   for (const Cell& cell : cells) {
-    printf("%-8.0f%% %7d %14.0f %14.0f %8.2fx %8.1f%% %8.1f%%\n",
+    printf("%-8.0f%% %7d %14.0f %14.0f %8.2fx %8.1f%%\n",
            cell.repeat_rate * 100, cell.threads, cell.uncached_qps,
-           cell.cached_qps, cell.speedup(), cell.result_hit_rate * 100,
-           cell.plan_hit_rate * 100);
+           cell.cached_qps, cell.speedup(), cell.result_hit_rate * 100);
   }
   printf("\nAcceptance: the 95%%-repeat cells should exceed 5x speedup; "
          "full cells in BENCH_query_cache.json.\n");

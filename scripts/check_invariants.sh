@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # ViST invariant gate: runs the project-specific linter (scripts/vist_lint.py
-# — raw-mutex ban, IgnoreError justifications, snapshot-pin encapsulation)
+# — raw-mutex ban, snapshot-pin encapsulation)
 # and verifies the lock-order table in docs/CONCURRENCY.md matches
 # src/common/lock_ranks.h, both directions. When a lockdep edge-graph dump
 # is supplied (--edges FILE, or $VIST_LOCKDEP_EDGES), the observed runtime

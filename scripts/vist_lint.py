@@ -12,10 +12,6 @@ docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
                    see every acquisition. Per-line escape hatch:
                    `vist-lint: allow-raw-mutex — <reason>`.
 
-  [ignore-error]   Every vist::IgnoreError call site carries a
-                   justification comment on the same line or within
-                   JUSTIFICATION_WINDOW lines above it.
-
   [snapshot-pin]   Snapshot reads stay pinned and encapsulated. Two
                    shapes are rejected: (a) `.get()`/`->get()` chained
                    onto a temporary `GetSnapshot()` result — the RAII
@@ -63,9 +59,8 @@ import re
 import sys
 from pathlib import Path
 
-# [ignore-error]: how many lines above a call the justification may sit
-# (calibrated to src/server/server.cc, where a counter line separates the
-# comment from the call).
+# [snapshot-pin]: how many lines above a finding its escape-hatch
+# annotation may sit.
 JUSTIFICATION_WINDOW = 3
 
 # [raw-mutex]: the two files allowed to touch the std types — the wrapper
@@ -187,31 +182,6 @@ def check_raw_mutex(root, path, original_lines, stripped):
             "common/mutex.h (rank-checked under VIST_DEADLOCK_DEBUG); "
             "annotate `vist-lint: allow-raw-mutex` with a reason if this "
             "site truly cannot"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# [ignore-error]
-
-IGNORE_ERROR_RE = re.compile(r"(?<![\w:])IgnoreError\s*\(")
-
-
-def check_ignore_error(root, path, original_lines, stripped):
-    findings = []
-    for match in IGNORE_ERROR_RE.finditer(stripped):
-        # Skip the declaration/definition in common/status.h.
-        before = stripped[max(0, match.start() - 16):match.start()]
-        if re.search(r"\bvoid\s+$", before):
-            continue
-        line = line_of(stripped, match.start())
-        window = original_lines[max(0, line - 1 - JUSTIFICATION_WINDOW):line]
-        if any("//" in ln for ln in window):
-            continue
-        findings.append(Finding(
-            "ignore-error", rel(root, path), line,
-            "IgnoreError without a justification comment — say why "
-            "discarding this Status is correct (same line or within "
-            f"{JUSTIFICATION_WINDOW} lines above)"))
     return findings
 
 
@@ -455,7 +425,6 @@ def run_lint(root, engine):
         original_lines = text.splitlines()
         stripped = strip_comments_and_strings(text)
         findings += check_raw_mutex(root, path, original_lines, stripped)
-        findings += check_ignore_error(root, path, original_lines, stripped)
         findings += check_snapshot_pin(root, path, original_lines, stripped)
 
     if engine == "libclang":

@@ -39,20 +39,13 @@ std::string EncodeRegionValue(uint32_t end, uint32_t level) {
 }
 
 // Compiled form of a query: just the parsed query tree. Symbols are looked
-// up at execution time (EvalStep), so the plan is always cacheable — there
-// is no compile-time conclusion a later insert could invalidate.
+// up at execution time (EvalStep).
 class NodeQueryPlan : public QueryPlan {
  public:
   NodeQueryPlan(std::string path, query::QueryTree tree)
-      : QueryPlan(std::move(path), /*cacheable=*/true),
-        tree_(std::move(tree)) {}
+      : QueryPlan(std::move(path)), tree_(std::move(tree)) {}
 
   const query::QueryTree& tree() const { return tree_; }
-
-  size_t MemoryUsage() const override {
-    return sizeof(*this) + path().size() +
-           query::QueryTreeMemoryUsage(*tree_.root);
-  }
 
  private:
   const query::QueryTree tree_;

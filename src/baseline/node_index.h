@@ -71,9 +71,9 @@ class NodeIndex : public QueryableIndex {
   /// NotFound when no such document is indexed (its root's key is absent).
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
 
-  /// Parses a path expression into a query-tree plan. Always cacheable:
-  /// symbol lookup happens at execution time, so the plan never pins a
-  /// stale "name unknown" conclusion.
+  /// Parses a path expression into a query-tree plan. Symbol lookup
+  /// happens at execution time, so the plan sees names interned after its
+  /// Prepare too.
   Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) override;
 

@@ -116,27 +116,18 @@ std::string RefinedPostingKey(uint32_t refined_id, uint64_t doc_id) {
 
 // Compiled form of a query: its root-to-leaf path patterns. When the query
 // named a symbol the table hadn't interned at compile time the plan is
-// pinned to the empty answer and marked uncacheable (a later insert may
-// intern the name, changing the right answer).
+// pinned to the empty answer.
 class PathQueryPlan : public QueryPlan {
  public:
   PathQueryPlan(std::string path, bool unknown_name,
                 std::vector<std::vector<Symbol>> leaf_paths)
-      : QueryPlan(std::move(path), /*cacheable=*/!unknown_name),
+      : QueryPlan(std::move(path)),
         unknown_name_(unknown_name),
         leaf_paths_(std::move(leaf_paths)) {}
 
   bool unknown_name() const { return unknown_name_; }
   const std::vector<std::vector<Symbol>>& leaf_paths() const {
     return leaf_paths_;
-  }
-
-  size_t MemoryUsage() const override {
-    size_t bytes = sizeof(*this) + path().size();
-    for (const std::vector<Symbol>& leaf : leaf_paths_) {
-      bytes += sizeof(leaf) + leaf.size() * sizeof(Symbol);
-    }
-    return bytes;
   }
 
  private:

@@ -101,8 +101,9 @@ class PathIndex : public QueryableIndex {
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
 
   /// Compiles a path expression into its root-to-leaf path patterns.
-  /// Plans that met a name the (borrowed) symbol table does not know are
-  /// not cacheable: another engine sharing the table may intern it later.
+  /// A plan that met a name the (borrowed) symbol table does not know
+  /// answers empty, even after another engine sharing the table interns
+  /// the name.
   /// Whether the path names a refined posting list is deliberately NOT
   /// baked into the plan — QueryWithPlan re-checks at execution time, so a
   /// plan compiled before AddRefinedPath still uses the posting list.

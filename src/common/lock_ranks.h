@@ -59,7 +59,7 @@ inline constexpr uint32_t kLockRankFlagUnordered = 1;
   X(kFrameLoadLatch,  50, kLockRankFlagNone,                                 \
     "internal_buffer::Frame::load_mu — the load-handshake leaf latch")       \
   X(kCacheShard,      60, kLockRankFlagNone,                                 \
-    "exec::CachingIndex plan/result shard — leaf in practice: released "     \
+    "exec::CachingIndex result shard — leaf in practice: released "          \
     "before the cache calls into the wrapped index")                         \
   X(kRouterFeedback,  65, kLockRankFlagNone,                                 \
     "exec::Router::feedback_mu_ — cost-model feedback state, never held "    \

@@ -33,7 +33,7 @@ enum class StatusCode {
 /// so every function returning one must have its result checked (enforced
 /// as an error for src/ targets; see docs/STATIC_ANALYSIS.md). The rare
 /// site where discarding is genuinely correct calls IgnoreError(), below,
-/// with a comment — never a bare (void) cast.
+/// with its reason — never a bare (void) cast.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
@@ -95,9 +95,10 @@ class [[nodiscard]] Status {
 
 /// The one sanctioned way to discard a Status: a named, greppable sink for
 /// sites where no handling is possible or useful (e.g. best-effort cleanup
-/// on a path that is already reporting a different error). Every call site
-/// carries a comment saying why the error is unactionable there.
-inline void IgnoreError(const Status&) {}
+/// on a path that is already reporting a different error). `why` says why
+/// the error is unactionable at the call site; there is no overload
+/// without it, so every discard states its reason.
+inline void IgnoreError(const Status&, std::string_view /*why*/) {}
 
 /// Evaluates `expr` (a Status expression) and returns it from the enclosing
 /// function if it is not OK. The workhorse of error propagation.

@@ -17,10 +17,6 @@ namespace {
 // Metric reference: docs/OBSERVABILITY.md (cache section). Global across
 // all CachingIndex instances, like every other instrument in the registry.
 struct CacheMetrics {
-  obs::Counter& plan_hits = obs::GetCounter("cache.plan.hits");
-  obs::Counter& plan_misses = obs::GetCounter("cache.plan.misses");
-  obs::Counter& plan_evictions = obs::GetCounter("cache.plan.evictions");
-  obs::Gauge& plan_entries = obs::GetGauge("cache.plan.entries");
   obs::Counter& result_hits = obs::GetCounter("cache.result.hits");
   obs::Counter& result_misses = obs::GetCounter("cache.result.misses");
   obs::Counter& result_evictions = obs::GetCounter("cache.result.evictions");
@@ -38,10 +34,10 @@ struct CacheMetrics {
   }
 };
 
-// Every QueryOptions field that changes what a query returns (or how it
-// compiles) goes into the key; the profile sink explicitly does not, and
-// neither does the deadline — it changes whether a query completes, never
-// what a completed query returns (expired queries fail, and ServeResult
+// Every QueryOptions field that changes what a query returns goes into
+// the key; the profile sink explicitly does not, and neither does the
+// deadline — it changes whether a query completes, never what a
+// completed query returns (expired queries fail, and ServeResult
 // only caches ok() results, so a partial answer can never be inserted).
 std::string CacheKey(std::string_view normalized_path,
                      const QueryOptions& options) {
@@ -66,19 +62,6 @@ bool IsPathSpace(char c) {
 
 }  // namespace
 
-struct CachingIndex::PlanShard {
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const QueryPlan> plan;
-  };
-
-  Mutex mu{LockRank::kCacheShard};
-  /// Front is most recently used.
-  std::list<Entry> lru VIST_GUARDED_BY(mu);
-  std::map<std::string, std::list<Entry>::iterator, std::less<>> table
-      VIST_GUARDED_BY(mu);
-};
-
 struct CachingIndex::ResultShard {
   struct Entry {
     std::string key;
@@ -87,10 +70,10 @@ struct CachingIndex::ResultShard {
   };
 
   Mutex mu{LockRank::kCacheShard};
-  /// Epoch the shard's entries are valid for. A lookup or insert at a
-  /// newer epoch clears the shard first (the wholesale invalidation rule).
+  /// Epoch the shard's entries are valid for (see AdvanceLocked).
   uint64_t epoch VIST_GUARDED_BY(mu) = 0;
   size_t bytes VIST_GUARDED_BY(mu) = 0;
+  /// Front is most recently used.
   std::list<Entry> lru VIST_GUARDED_BY(mu);
   std::map<std::string, std::list<Entry>::iterator, std::less<>> table
       VIST_GUARDED_BY(mu);
@@ -105,6 +88,20 @@ struct CachingIndex::ResultShard {
     table.clear();
     lru.clear();
     bytes = 0;
+  }
+
+  /// The wholesale invalidation rule, for a caller that read `e` from the
+  /// wrapped index: a shard stamped with an older epoch is cleared and
+  /// moves to `e`. Returns false, leaving the shard untouched, when a
+  /// newer epoch already owns it — the caller read `e` before a mutation
+  /// that another caller has since observed.
+  bool AdvanceLocked(uint64_t e) VIST_REQUIRES(mu) {
+    if (epoch > e) return false;
+    if (epoch < e) {
+      ClearLocked(/*count_invalidated=*/true);
+      epoch = e;
+    }
+    return true;
   }
 };
 
@@ -125,21 +122,13 @@ std::vector<std::unique_ptr<Shard>> MakeShards(size_t count) {
 CachingIndex::CachingIndex(QueryableIndex* wrapped,
                            const CachingIndexOptions& options)
     : wrapped_(wrapped),
-      plan_capacity_per_shard_(std::max<size_t>(
-          1, options.plan_capacity / std::max<size_t>(1, options.shards))),
       result_budget_per_shard_(std::max<size_t>(
           256,
           options.result_capacity_bytes / std::max<size_t>(1, options.shards))),
-      plan_shards_(MakeShards<PlanShard>(std::max<size_t>(1, options.shards))),
       result_shards_(
           MakeShards<ResultShard>(std::max<size_t>(1, options.shards))) {}
 
 CachingIndex::~CachingIndex() { Clear(); }
-
-CachingIndex::PlanShard& CachingIndex::plan_shard(std::string_view key) const {
-  return *plan_shards_[Hash64(Slice(key.data(), key.size())) %
-                       plan_shards_.size()];
-}
 
 CachingIndex::ResultShard& CachingIndex::result_shard(
     std::string_view key) const {
@@ -198,43 +187,11 @@ std::string CachingIndex::NormalizePath(std::string_view path) {
   return out;
 }
 
-std::shared_ptr<const QueryPlan> CachingIndex::LookupPlan(
-    const std::string& key) {
-  PlanShard& shard = plan_shard(key);
-  MutexLock lock(shard.mu);
-  auto it = shard.table.find(key);
-  if (it == shard.table.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->plan;
-}
-
-void CachingIndex::InsertPlan(const std::string& key,
-                              const std::shared_ptr<const QueryPlan>& plan) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  PlanShard& shard = plan_shard(key);
-  MutexLock lock(shard.mu);
-  if (shard.table.find(key) != shard.table.end()) return;  // racing fill
-  shard.lru.push_front(PlanShard::Entry{key, plan});
-  shard.table.emplace(key, shard.lru.begin());
-  metrics.plan_entries.Add(1);
-  while (shard.lru.size() > plan_capacity_per_shard_) {
-    shard.table.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    metrics.plan_entries.Add(-1);
-    metrics.plan_evictions.Increment();
-  }
-}
-
 bool CachingIndex::LookupResult(const std::string& key, uint64_t current_epoch,
                                 std::vector<uint64_t>* out) {
   ResultShard& shard = result_shard(key);
   MutexLock lock(shard.mu);
-  if (shard.epoch != current_epoch) {
-    // The index mutated since these entries were computed: drop them all.
-    shard.ClearLocked(/*count_invalidated=*/true);
-    shard.epoch = current_epoch;
-    return false;
-  }
+  if (!shard.AdvanceLocked(current_epoch)) return false;
   auto it = shard.table.find(key);
   if (it == shard.table.end()) return false;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
@@ -252,11 +209,7 @@ void CachingIndex::InsertResult(const std::string& key,
   CacheMetrics& metrics = CacheMetrics::Get();
   ResultShard& shard = result_shard(key);
   MutexLock lock(shard.mu);
-  if (shard.epoch > epoch_at_query) return;  // a newer epoch owns the shard
-  if (shard.epoch < epoch_at_query) {
-    shard.ClearLocked(/*count_invalidated=*/true);
-    shard.epoch = epoch_at_query;
-  }
+  if (!shard.AdvanceLocked(epoch_at_query)) return;
   if (shard.table.find(key) != shard.table.end()) return;  // racing fill
   shard.lru.push_front(ResultShard::Entry{key, docs, entry_bytes});
   shard.table.emplace(key, shard.lru.begin());
@@ -273,13 +226,6 @@ void CachingIndex::InsertResult(const std::string& key,
 }
 
 void CachingIndex::Clear() {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  for (const auto& shard : plan_shards_) {
-    MutexLock lock(shard->mu);
-    metrics.plan_entries.Add(-static_cast<int64_t>(shard->lru.size()));
-    shard->table.clear();
-    shard->lru.clear();
-  }
   for (const auto& shard : result_shards_) {
     MutexLock lock(shard->mu);
     shard->ClearLocked(/*count_invalidated=*/false);
@@ -293,8 +239,7 @@ Result<std::vector<uint64_t>> CachingIndex::ServeResult(
   if (options.snapshot != nullptr) {
     // An explicit snapshot names a pinned (possibly old) version; the
     // result tier only holds current-epoch answers, so neither a lookup
-    // nor an insert is sound. The plan tier inside `execute` still
-    // applies — plans depend on the symbol table, not the data.
+    // nor an insert is sound.
     metrics.result_snapshot_bypass.Increment();
     if (options.profile != nullptr) {
       options.profile->result_cache_hit = false;
@@ -314,7 +259,6 @@ Result<std::vector<uint64_t>> CachingIndex::ServeResult(
     obs::ProfileScope scope(profile);
     if (profile != nullptr) {
       profile->result_cache_hit = true;
-      profile->plan_cache_hit = false;  // a result hit consults no plan
       profile->candidates += docs.size();
       profile->verified_results += docs.size();
     }
@@ -333,45 +277,21 @@ Result<std::vector<uint64_t>> CachingIndex::ServeResult(
   return result;
 }
 
+// Looks the result up before compiling anything, so a hit costs no
+// Prepare; a miss compiles and executes through the wrapped index.
 Result<std::vector<uint64_t>> CachingIndex::Query(std::string_view path,
                                                   const QueryOptions& options) {
   const std::string key = CacheKey(NormalizePath(path), options);
-  return ServeResult(
-      key, options, [&]() -> Result<std::vector<uint64_t>> {
-        CacheMetrics& metrics = CacheMetrics::Get();
-        std::shared_ptr<const QueryPlan> plan = LookupPlan(key);
-        const bool plan_hit = plan != nullptr;
-        if (plan_hit) {
-          metrics.plan_hits.Increment();
-        } else {
-          metrics.plan_misses.Increment();
-          VIST_ASSIGN_OR_RETURN(plan, wrapped_->Prepare(path, options));
-          if (plan->cacheable()) InsertPlan(key, plan);
-        }
-        VIST_ASSIGN_OR_RETURN(std::vector<uint64_t> result,
-                              wrapped_->QueryWithPlan(*plan, options));
-        if (options.profile != nullptr) {
-          options.profile->plan_cache_hit = plan_hit;
-        }
-        return result;
-      });
+  return ServeResult(key, options, [&]() -> Result<std::vector<uint64_t>> {
+    VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
+                          wrapped_->Prepare(path, options));
+    return wrapped_->QueryWithPlan(*plan, options);
+  });
 }
 
 Result<std::shared_ptr<const QueryPlan>> CachingIndex::Prepare(
     std::string_view path, const QueryOptions& options) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  const std::string key = CacheKey(NormalizePath(path), options);
-  if (std::shared_ptr<const QueryPlan> plan = LookupPlan(key)) {
-    metrics.plan_hits.Increment();
-    if (options.profile != nullptr) options.profile->plan_cache_hit = true;
-    return plan;
-  }
-  metrics.plan_misses.Increment();
-  if (options.profile != nullptr) options.profile->plan_cache_hit = false;
-  VIST_ASSIGN_OR_RETURN(std::shared_ptr<const QueryPlan> plan,
-                        wrapped_->Prepare(path, options));
-  if (plan->cacheable()) InsertPlan(key, plan);
-  return plan;
+  return wrapped_->Prepare(path, options);
 }
 
 Result<std::vector<uint64_t>> CachingIndex::QueryWithPlan(

@@ -1,26 +1,25 @@
-// exec::CachingIndex — the query-serving cache in front of any
+// exec::CachingIndex — the query-serving result cache in front of any
 // QueryableIndex (docs/SERVING.md).
 //
 // The paper evaluates one-shot query latency; serving workloads repeat the
-// same path expressions millions of times. CachingIndex memoizes the two
-// expensive halves of a repeated query independently:
+// same path expressions millions of times. CachingIndex memoizes a
+// repeated query's answer: normalized path + options fingerprint, valid
+// for exactly one index epoch → sorted doc-id vector. The wrapped index
+// bumps epoch() on every mutation (under its writer lock), so a shard
+// whose stamped epoch is behind the current one is dropped wholesale
+// before lookup — correct by construction under the snapshot contract —
+// while a reader still holding an older epoch misses without touching the
+// shard. LRU by byte budget.
 //
-//   * Plan tier: normalized path + options fingerprint → compiled plan.
-//     Plans marked cacheable depend only on the symbol table, never on the
-//     indexed data, so this tier survives arbitrary mutations. LRU by
-//     entry count.
-//   * Result tier: the same key, valid for exactly one index epoch →
-//     sorted doc-id vector. The wrapped index bumps epoch() on every
-//     mutation (under its writer lock), so a shard whose stamped epoch is
-//     behind the current one is dropped wholesale before lookup — correct
-//     by construction under the PR-3 snapshot contract. LRU by byte
-//     budget.
+// A miss compiles the path with the wrapped index's Prepare and runs the
+// plan with its QueryWithPlan. Plans are not cached: compiling is a
+// negligible share of a query next to Algorithm 2's range scans.
 //
-// Both tiers are sharded by key hash; each shard has its own vist::Mutex.
-// Shard mutexes are leaves of the lock order: they are never held across a
-// call into the wrapped index (docs/CONCURRENCY.md). Counters are exported
-// as cache.* through the obs registry, and each query stamps its
-// QueryProfile with plan_cache_hit / result_cache_hit.
+// The cache is sharded by key hash; each shard has its own vist::Mutex.
+// Shard mutexes are leaves of the lock order: they are never held across
+// a call into the wrapped index (docs/CONCURRENCY.md). Counters are
+// exported as cache.result.* through the obs registry, and each query
+// stamps its QueryProfile with result_cache_hit.
 //
 // A CachingIndex is itself a QueryableIndex, so serving infrastructure can
 // treat cached and uncached engines uniformly (and wrappers can nest).
@@ -43,14 +42,11 @@ namespace vist {
 namespace exec {
 
 struct CachingIndexOptions {
-  /// Plan-tier capacity in entries, across all shards.
-  size_t plan_capacity = 1024;
   /// Result-tier budget in bytes, across all shards. Entries larger than
   /// one shard's slice of the budget are never cached.
   size_t result_capacity_bytes = 8u << 20;
-  /// Number of shards per tier (rounded up to at least 1). More shards
-  /// mean less mutex contention between concurrent queries of distinct
-  /// paths.
+  /// Number of shards (rounded up to at least 1). More shards mean less
+  /// mutex contention between concurrent queries of distinct paths.
   size_t shards = 8;
 };
 
@@ -76,8 +72,7 @@ class CachingIndex : public QueryableIndex {
   /// Forwards to the wrapped index (the cache adds no versions of its
   /// own). Queries carrying an explicit QueryOptions::snapshot bypass the
   /// result tier — its entries are keyed to the CURRENT epoch, while a
-  /// pinned snapshot may be arbitrarily older — but still use (and fill)
-  /// the plan tier, which depends only on the append-only symbol table.
+  /// pinned snapshot may be arbitrarily older.
   Result<std::shared_ptr<const Snapshot>> GetSnapshot() override {
     return wrapped_->GetSnapshot();
   }
@@ -88,7 +83,7 @@ class CachingIndex : public QueryableIndex {
 
   QueryableIndex* wrapped() const { return wrapped_; }
 
-  /// Drops every cached plan and result. Never required for correctness
+  /// Drops every cached result. Never required for correctness
   /// (the epoch rule handles invalidation); useful to reclaim memory or to
   /// reset between benchmark phases.
   void Clear();
@@ -103,17 +98,12 @@ class CachingIndex : public QueryableIndex {
   static std::string NormalizePath(std::string_view path);
 
  private:
-  struct PlanShard;
   struct ResultShard;
 
-  PlanShard& plan_shard(std::string_view key) const;
   ResultShard& result_shard(std::string_view key) const;
 
   /// Tier primitives. Each locks one shard internally and never calls into
   /// the wrapped index (the leaf-lock rule above).
-  std::shared_ptr<const QueryPlan> LookupPlan(const std::string& key);
-  void InsertPlan(const std::string& key,
-                  const std::shared_ptr<const QueryPlan>& plan);
   bool LookupResult(const std::string& key, uint64_t current_epoch,
                     std::vector<uint64_t>* out);
   void InsertResult(const std::string& key, uint64_t epoch_at_query,
@@ -127,9 +117,7 @@ class CachingIndex : public QueryableIndex {
                                             Execute&& execute);
 
   QueryableIndex* const wrapped_;
-  const size_t plan_capacity_per_shard_;
   const size_t result_budget_per_shard_;
-  const std::vector<std::unique_ptr<PlanShard>> plan_shards_;
   const std::vector<std::unique_ptr<ResultShard>> result_shards_;
 };
 

@@ -27,11 +27,9 @@
 // is linearizable, and the bump invalidates the cached entry.)
 //
 // Plans (`Prepare`) are engine-specific compiled forms of a path
-// expression. A plan marked `cacheable()` depends only on symbols that
-// were already interned when it was compiled — never on the indexed data —
-// so it stays valid across arbitrary mutations. Plans whose compilation
-// saw a name the symbol table did not yet contain are *not* cacheable: a
-// later insert could intern the name and change the compilation.
+// expression. A plan answers for the symbol table as of its `Prepare`,
+// so a caller that keeps a plan across a mutation may miss names that
+// mutation interned.
 
 #ifndef VIST_EXEC_QUERYABLE_INDEX_H_
 #define VIST_EXEC_QUERYABLE_INDEX_H_
@@ -137,21 +135,11 @@ class QueryPlan {
   /// The source path expression the plan was compiled from.
   const std::string& path() const { return path_; }
 
-  /// True when the plan stays valid across mutations (its compilation
-  /// resolved every name against the symbol table). Non-cacheable plans
-  /// are still executable; they just must not outlive the query.
-  bool cacheable() const { return cacheable_; }
-
-  /// Approximate heap footprint in bytes, for cache budgeting.
-  virtual size_t MemoryUsage() const = 0;
-
  protected:
-  QueryPlan(std::string path, bool cacheable)
-      : path_(std::move(path)), cacheable_(cacheable) {}
+  explicit QueryPlan(std::string path) : path_(std::move(path)) {}
 
  private:
   const std::string path_;
-  const bool cacheable_;
 };
 
 /// The abstract index every engine (VistIndex, PathIndex, NodeIndex, and
@@ -165,12 +153,13 @@ class QueryableIndex {
 
   /// Evaluates a path expression; returns sorted matching doc ids.
   /// Exactly `QueryWithPlan(**Prepare(path, options), options)`; virtual
-  /// so wrappers can serve it another way (exec::CachingIndex's caches).
+  /// so wrappers can serve it another way (exec::CachingIndex's cache).
   virtual Result<std::vector<uint64_t>> Query(std::string_view path,
                                               const QueryOptions& options = {});
 
   /// Compiles a path expression into this engine's plan form without
-  /// executing it. The returned plan is immutable and shareable.
+  /// executing it. The returned plan is immutable and shareable, and
+  /// answers for the symbol table as of this call (see the file comment).
   virtual Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) = 0;
 

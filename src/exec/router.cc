@@ -122,31 +122,21 @@ void FoldNameStats(const xml::Node& node, bool insert, NameStats* stats) {
 // Compiled form of a routed query: the extracted features plus each
 // engine's own plan (null where that engine's Prepare failed). The
 // routing decision is deliberately NOT part of the plan — QueryWithPlan
-// re-picks per execution, so a plan cached by exec::CachingIndex keeps
+// re-picks per execution, so a plan executed more than once keeps
 // following the feedback loop.
 class RouterPlan : public QueryPlan {
  public:
   RouterPlan(std::string path, PlanFeatures features,
              std::array<std::shared_ptr<const QueryPlan>,
                         Router::kNumEngines>
-                 inner,
-             bool cacheable)
-      : QueryPlan(std::move(path), cacheable),
+                 inner)
+      : QueryPlan(std::move(path)),
         features_(std::move(features)),
         inner_(std::move(inner)) {}
 
   const PlanFeatures& features() const { return features_; }
   const std::shared_ptr<const QueryPlan>& inner(size_t engine) const {
     return inner_[engine];
-  }
-
-  size_t MemoryUsage() const override {
-    size_t bytes = sizeof(*this) + path().size();
-    for (const std::string& name : features_.names) bytes += name.size();
-    for (const auto& plan : inner_) {
-      if (plan != nullptr) bytes += plan->MemoryUsage();
-    }
-    return bytes;
   }
 
  private:
@@ -259,26 +249,22 @@ Result<std::shared_ptr<const QueryPlan>> Router::Prepare(
   // the fan-out interns new names is still correct).
   std::array<std::shared_ptr<const QueryPlan>, kNumEngines> inner;
   Status error = Status::OK();
-  bool cacheable = true;
   size_t prepared = 0;
   for (size_t i = 0; i < kNumEngines; ++i) {
     auto plan =
         EngineFor(static_cast<Engine>(i))->Prepare(path, options);
     if (plan.ok()) {
-      cacheable = cacheable && (*plan)->cacheable();
       inner[i] = std::move(*plan);
       ++prepared;
     } else {
       // An engine that cannot compile the query (ViST's permutation cap)
-      // is simply not a routing candidate; the plan must not outlive the
-      // query, since a different engine mix changes what it can serve.
-      cacheable = false;
+      // is simply not a routing candidate.
       if (error.ok()) error = plan.status();
     }
   }
   if (prepared == 0) return error;
   return std::shared_ptr<const QueryPlan>(std::make_shared<RouterPlan>(
-      std::string(path), std::move(features), std::move(inner), cacheable));
+      std::string(path), std::move(features), std::move(inner)));
 }
 
 Result<std::vector<uint64_t>> Router::QueryWithPlan(

@@ -119,7 +119,7 @@ class Router : public QueryableIndex {
 
   /// Compiles `path` on every engine and bundles the plans with the
   /// extracted features. The routing decision is NOT baked in: each
-  /// execution re-picks, so a cached plan keeps benefiting from feedback.
+  /// execution re-picks, so a reused plan keeps benefiting from feedback.
   Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) override;
 

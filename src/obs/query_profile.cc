@@ -26,8 +26,8 @@ std::string QueryProfile::Dump() const {
   out << "  candidates:           " << candidates << "\n";
   out << "  verified_results:     " << verified_results
       << (verified ? " (verified)" : " (no verification stage)") << "\n";
-  out << "  cache:                plan_hit=" << (plan_cache_hit ? 1 : 0)
-      << " result_hit=" << (result_cache_hit ? 1 : 0) << "\n";
+  out << "  cache:                result_hit=" << (result_cache_hit ? 1 : 0)
+      << "\n";
   return out.str();
 }
 

@@ -60,10 +60,9 @@ struct QueryProfile {
   uint64_t verified_results = 0;
   bool verified = false;
 
-  /// Serving-cache outcome (exec::CachingIndex; both false when the query
-  /// ran against a bare engine). A result hit answers from the cache
-  /// without touching the engine, so the storage fields above stay zero.
-  bool plan_cache_hit = false;
+  /// Serving-cache outcome (exec::CachingIndex; false when the query ran
+  /// against a bare engine). A result hit answers from the cache without
+  /// touching the engine, so the storage fields above stay zero.
   bool result_cache_hit = false;
 
   /// Wall-clock time of the query evaluation, milliseconds.

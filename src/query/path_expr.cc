@@ -139,13 +139,5 @@ std::string ToString(const PathExpr& expr) {
   return out;
 }
 
-size_t QueryTreeMemoryUsage(const QueryNode& node) {
-  size_t bytes = sizeof(QueryNode) + node.name.size() + node.value.size();
-  for (const auto& child : node.children) {
-    bytes += QueryTreeMemoryUsage(*child);
-  }
-  return bytes;
-}
-
 }  // namespace query
 }  // namespace vist

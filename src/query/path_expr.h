@@ -83,10 +83,6 @@ struct QueryTree {
 /// emitted as a sequence element, but wildcards are place holders only).
 Result<QueryTree> BuildQueryTree(const PathExpr& expr);
 
-/// Heap footprint of a query (sub)tree — the node structs plus their
-/// strings. Plan caches use it to charge cached plans for memory.
-size_t QueryTreeMemoryUsage(const QueryNode& node);
-
 /// Renders the expression back to path syntax (debugging / logging).
 std::string ToString(const PathExpr& expr);
 

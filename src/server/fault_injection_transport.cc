@@ -130,7 +130,8 @@ void FaultInjectionTransport::PumpLoop(std::shared_ptr<Link> link,
         rng.Bernoulli(options_.torn_probability)) {
       // Deliver a prefix, then snap the connection: the receiver holds a
       // frame torn mid-flight.
-      IgnoreError(WriteFull(to->get(), chunk, *got / 2));
+      IgnoreError(WriteFull(to->get(), chunk, *got / 2),
+                  "the link is reset next, whether the prefix arrived or not");
       torn_.fetch_add(1, std::memory_order_relaxed);
       resets_.fetch_add(1, std::memory_order_relaxed);
       CloseWithReset(&link->client);

@@ -459,9 +459,9 @@ void VistServer::WriteResponse(const std::shared_ptr<Connection>& conn,
   const Status written =
       WriteFull(conn->fd.get(), frame.data(), frame.size());
   if (!written.ok()) {
-    // The peer is gone; there is no one left to report the error to.
     WriteErrorsCounter().Increment();
-    IgnoreError(written);
+    IgnoreError(written,
+                "the peer is gone; there is no one left to report it to");
   }
 }
 

@@ -466,23 +466,6 @@ bool BTree::Iterator::DescendFirst(PageId id) {
   }
 }
 
-bool BTree::Iterator::DescendLast(PageId id) {
-  while (true) {
-    PageRef ref;
-    if (!LoadPage(id, &ref)) return false;
-    NodePage np(ref.data(), tree_->pager_->usable_page_size());
-    if (np.is_leaf()) {
-      spine_.push_back({std::move(ref), np.num_cells() - 1});
-      return true;
-    }
-    const int n = np.num_cells();
-    const PageId child = n > 0 ? np.Child(n - 1) : np.next();
-    VIST_CHECK(child != kInvalidPageId) << "internal node with no child";
-    spine_.push_back({std::move(ref), n - 1});
-    id = child;
-  }
-}
-
 void BTree::Iterator::NextLeaf() {
   const uint32_t page_size = tree_->pager_->usable_page_size();
   spine_.pop_back();  // drop the exhausted leaf
@@ -505,30 +488,6 @@ void BTree::Iterator::NextLeaf() {
     spine_.pop_back();
   }
   valid_ = false;  // clean end of data
-}
-
-void BTree::Iterator::PrevLeaf() {
-  const uint32_t page_size = tree_->pager_->usable_page_size();
-  spine_.pop_back();  // drop the exhausted leaf
-  while (!spine_.empty()) {
-    Level& lvl = spine_.back();
-    NodePage np(lvl.ref.data(), page_size);
-    if (lvl.index >= 0) {
-      --lvl.index;
-      const PageId child =
-          lvl.index == -1 ? np.next() : np.Child(lvl.index);
-      if (!DescendLast(child)) return;  // status_ set
-      NodePage leaf(spine_.back().ref.data(), page_size);
-      if (leaf.num_cells() > 0) {
-        valid_ = true;
-        return;
-      }
-      spine_.pop_back();
-      continue;
-    }
-    spine_.pop_back();
-  }
-  valid_ = false;  // clean start of data
 }
 
 void BTree::Iterator::Seek(const Slice& target) {
@@ -575,33 +534,12 @@ void BTree::Iterator::SeekToFirst() {
   }
 }
 
-void BTree::Iterator::SeekToLast() {
-  BTreeMetrics::Get().seeks.Increment();
-  status_ = Status::OK();
-  valid_ = false;
-  spine_.clear();
-  if (!DescendLast(root_)) return;
-  NodePage leaf(spine_.back().ref.data(), tree_->pager_->usable_page_size());
-  if (leaf.num_cells() > 0) {
-    valid_ = true;
-  } else {
-    PrevLeaf();
-  }
-}
-
 void BTree::Iterator::Next() {
   VIST_CHECK(valid_);
   Level& leaf = spine_.back();
   NodePage np(leaf.ref.data(), tree_->pager_->usable_page_size());
   if (++leaf.index < np.num_cells()) return;
   NextLeaf();
-}
-
-void BTree::Iterator::Prev() {
-  VIST_CHECK(valid_);
-  Level& leaf = spine_.back();
-  if (--leaf.index >= 0) return;
-  PrevLeaf();
 }
 
 Slice BTree::Iterator::key() const {

@@ -3,7 +3,7 @@
 //
 // Properties:
 //  * variable-length keys and values (bounded by NodePage::MaxCellSize)
-//  * upsert Put, point Get, Delete, and bidirectional range iterators
+//  * upsert Put, point Get, Delete, and forward range iterators
 //  * copy-on-write page updates: a writer never mutates a page reachable
 //    from a published Version — mutation shadows the root-to-leaf path
 //    into fresh pages first (shadow paging), so concurrent readers of a
@@ -91,11 +91,9 @@ class BTree {
     /// Positions at the first entry with key >= `target`.
     void Seek(const Slice& target);
     void SeekToFirst();
-    void SeekToLast();
 
     bool Valid() const { return valid_; }
     void Next();
-    void Prev();
 
     /// Cooperative cancellation: every page load first consults `checker`
     /// (borrowed; must outlive the iterator) and aborts the scan with
@@ -127,14 +125,12 @@ class BTree {
     /// Fetches + validates a page (deadline-checked); false on error
     /// (status_ set, spine released).
     bool LoadPage(PageId id, PageRef* out);
-    /// Pushes the path to the smallest/largest leaf of the subtree at
-    /// `id`; false on error.
+    /// Pushes the path to the smallest leaf of the subtree at `id`; false
+    /// on error.
     bool DescendFirst(PageId id);
-    bool DescendLast(PageId id);
-    /// Advances to the first cell of the next/previous leaf, walking up
-    /// the pinned spine; clears valid_ at either end.
+    /// Advances to the first cell of the next leaf, walking up the pinned
+    /// spine; clears valid_ at the end.
     void NextLeaf();
-    void PrevLeaf();
     void Fail(Status status);
 
     const BTree* tree_;

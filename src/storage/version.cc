@@ -134,10 +134,10 @@ Status VersionManager::Commit(uint64_t epoch) {
   in_write_ = false;
   // Readers can see the new version now, so the transaction has happened
   // and must report OK: a caller told otherwise would retry a mutation
-  // that is already visible. A failed reclaim leaves its pages in limbo
-  // (storage.mvcc.reclaim_deferred); the next pass — at the latest the
-  // owner's Flush — retries them and reports the error.
-  IgnoreError(ReclaimEligible());
+  // that is already visible.
+  IgnoreError(ReclaimEligible(),
+              "a failed reclaim stays in limbo; the next pass, at the latest "
+              "the owner's Flush, retries and reports it");
   return Status::OK();
 }
 

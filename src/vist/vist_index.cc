@@ -77,23 +77,11 @@ Status ParseRootRecord(const std::string& value, NodeRecord* record) {
 // virtual suffix tree.
 class VistQueryPlan : public QueryPlan {
  public:
-  VistQueryPlan(std::string path, bool plan_cacheable, query::QueryTree tree,
+  VistQueryPlan(std::string path, query::QueryTree tree,
                 query::CompiledQuery compiled)
-      : QueryPlan(std::move(path), plan_cacheable),
+      : QueryPlan(std::move(path)),
         tree_(std::move(tree)),
         compiled_(std::move(compiled)) {}
-
-  size_t MemoryUsage() const override {
-    size_t bytes = sizeof(*this) + path().size() +
-                   query::QueryTreeMemoryUsage(*tree_.root);
-    for (const query::QuerySequence& alternative : compiled_.alternatives) {
-      bytes += alternative.size() * sizeof(query::QuerySequenceElement);
-      for (const query::QuerySequenceElement& element : alternative) {
-        bytes += element.pattern.size() * sizeof(Symbol);
-      }
-    }
-    return bytes;
-  }
 
   const query::QueryTree& tree() const { return tree_; }
   const query::CompiledQuery& compiled() const { return compiled_; }
@@ -121,11 +109,11 @@ VistIndex::~VistIndex() {
 }
 
 void VistIndex::SimulateCrashForTesting() {
-  // Crashing installs nothing, so the body cannot fail.
-  IgnoreError(Mutate([&](uint64_t) {
+  Status crashed = Mutate([&](uint64_t) {
     store_->SimulateCrashForTesting();
     return Status::OK();
-  }));
+  });
+  IgnoreError(crashed, "crashing installs nothing, so the body cannot fail");
 }
 
 Status VistIndex::InitTrees(bool create) {
@@ -545,13 +533,8 @@ Result<std::shared_ptr<const QueryPlan>> VistIndex::Prepare(
   compile_options.max_alternatives = options.max_alternatives;
   VIST_ASSIGN_OR_RETURN(query::CompiledQuery compiled,
                         query::CompileQuery(tree, symtab_, compile_options));
-  // An empty compilation means a query name was never interned; a later
-  // insert can intern it and change the compilation, so such plans must
-  // not outlive the query (QueryPlan::cacheable).
-  const bool plan_cacheable = !compiled.alternatives.empty();
-  return std::shared_ptr<const QueryPlan>(
-      std::make_shared<VistQueryPlan>(std::string(path), plan_cacheable,
-                                      std::move(tree), std::move(compiled)));
+  return std::shared_ptr<const QueryPlan>(std::make_shared<VistQueryPlan>(
+      std::string(path), std::move(tree), std::move(compiled)));
 }
 
 Result<std::vector<uint64_t>> VistIndex::QueryWithPlan(

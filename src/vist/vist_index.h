@@ -142,9 +142,9 @@ class VistIndex : public QueryableIndex {
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
 
   /// Compiles a path expression (parse → query tree → query sequences
-  /// against the symbol table) without executing it. The plan is cacheable
-  /// unless compilation proved the query matches nothing — that proof can
-  /// be invalidated by a later insert interning the missing name.
+  /// against the symbol table) without executing it. A name the table
+  /// lacks compiles to no alternatives, so the plan matches nothing even
+  /// after a later insert interns the name.
   Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) override;
 

@@ -294,7 +294,8 @@ TEST_F(CachingIndexTest, OracleBaselinesAcrossMutationEpochs) {
 // The regression the oracle exists to catch: a missed epoch bump.
 
 // Forwards everything to a real engine but reports a frozen epoch — the
-// observable behavior of a mutating entry point that forgot to bump.
+// observable behavior of a mutating entry point that forgot to bump. The
+// test may move the frozen value itself with set_epoch.
 class FrozenEpochIndex : public QueryableIndex {
  public:
   explicit FrozenEpochIndex(QueryableIndex* inner) : inner_(inner) {}
@@ -313,10 +314,13 @@ class FrozenEpochIndex : public QueryableIndex {
   }
   Result<IndexStats> Stats() override { return inner_->Stats(); }
   Status Flush() override { return inner_->Flush(); }
-  uint64_t epoch() const override { return 0; }
+  uint64_t epoch() const override { return epoch_; }
+
+  void set_epoch(uint64_t epoch) { epoch_ = epoch; }
 
  private:
   QueryableIndex* inner_;
+  uint64_t epoch_ = 0;
 };
 
 TEST_F(CachingIndexTest, MissedEpochBumpServesStaleResultsTheOracleCatches) {
@@ -351,10 +355,106 @@ TEST_F(CachingIndexTest, MissedEpochBumpServesStaleResultsTheOracleCatches) {
   EXPECT_EQ(*honest_result, *direct);
 }
 
-// ---------------------------------------------------------------------------
-// Profile stamping and tier behavior
+// A reader that read epoch e1 before a mutation must not disturb a shard
+// another reader has since filled at e1 + 1: its lookup misses and leaves
+// the newer entries, and the shard's epoch, alone.
+TEST_F(CachingIndexTest, LaggingReaderLeavesNewerEntriesCached) {
+  std::unique_ptr<VistIndex> index = MakeVist();
+  for (uint64_t id = 1; id <= 2; ++id) {
+    xml::Document doc = MustParse(UniqueDoc(id));
+    ASSERT_TRUE(index->InsertDocument(*doc.root(), id).ok());
+  }
+  FrozenEpochIndex clock(index.get());
+  CachingIndexOptions one_shard;
+  one_shard.shards = 1;
+  CachingIndex cache(&clock, one_shard);
+  obs::Counter& invalidated =
+      obs::GetCounter("cache.result.invalidated_entries");
 
-TEST_F(CachingIndexTest, StampsPlanAndResultHitFlags) {
+  clock.set_epoch(2);
+  ASSERT_TRUE(cache.Query("/doc/u1").ok());  // fills the shard at epoch 2
+  const uint64_t invalidated_before = invalidated.value();
+
+  clock.set_epoch(1);  // a reader that read its epoch before the mutation
+  obs::QueryProfile lagging;
+  QueryOptions options;
+  options.profile = &lagging;
+  ASSERT_TRUE(cache.Query("/doc/u2", options).ok());
+  EXPECT_FALSE(lagging.result_cache_hit);
+
+  clock.set_epoch(2);
+  obs::QueryProfile current;
+  options.profile = &current;
+  auto result = cache.Query("/doc/u1", options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(*result, std::vector<uint64_t>{1});
+  EXPECT_TRUE(current.result_cache_hit)
+      << "the lagging lookup dropped entries of a newer epoch";
+  EXPECT_EQ(invalidated.value(), invalidated_before);
+}
+
+// Forwards everything to a real engine, epoch() included, and counts the
+// calls a cache makes into it.
+class CountingIndex : public QueryableIndex {
+ public:
+  explicit CountingIndex(QueryableIndex* inner) : inner_(inner) {}
+
+  Result<std::vector<uint64_t>> Query(std::string_view path,
+                                      const QueryOptions& options) override {
+    ++queries;
+    return inner_->Query(path, options);
+  }
+  Result<std::shared_ptr<const QueryPlan>> Prepare(
+      std::string_view path, const QueryOptions& options) override {
+    ++prepares;
+    return inner_->Prepare(path, options);
+  }
+  Result<std::vector<uint64_t>> QueryWithPlan(
+      const QueryPlan& plan, const QueryOptions& options) override {
+    ++executions;
+    return inner_->QueryWithPlan(plan, options);
+  }
+  Result<IndexStats> Stats() override { return inner_->Stats(); }
+  Status Flush() override { return inner_->Flush(); }
+  uint64_t epoch() const override { return inner_->epoch(); }
+
+  int queries = 0;
+  int prepares = 0;
+  int executions = 0;
+
+ private:
+  QueryableIndex* inner_;
+};
+
+// The call shape a miss makes into the wrapped index — Prepare, then
+// QueryWithPlan, never Query — is what layered tracing decorators see.
+TEST_F(CachingIndexTest, MissPreparesAndExecutesAndHitCallsNothing) {
+  std::unique_ptr<VistIndex> index = MakeVist();
+  CountingIndex counting(index.get());
+  CachingIndex cache(&counting);
+  xml::Document doc1 = MustParse(UniqueDoc(1));
+  ASSERT_TRUE(index->InsertDocument(*doc1.root(), 1).ok());
+
+  ASSERT_TRUE(cache.Query("/doc/u1").ok());
+  EXPECT_EQ(counting.prepares, 1);
+  EXPECT_EQ(counting.executions, 1);
+
+  ASSERT_TRUE(cache.Query("/doc/u1").ok());
+  EXPECT_EQ(counting.prepares, 1) << "a result hit calls nothing";
+  EXPECT_EQ(counting.executions, 1) << "a result hit calls nothing";
+
+  xml::Document doc2 = MustParse(UniqueDoc(2));
+  ASSERT_TRUE(index->InsertDocument(*doc2.root(), 2).ok());
+  ASSERT_TRUE(cache.Query("/doc/u1").ok());
+  EXPECT_EQ(counting.prepares, 2) << "a miss after a mutation compiles";
+  EXPECT_EQ(counting.executions, 2);
+  EXPECT_EQ(counting.queries, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Profile stamping and cache behavior
+
+TEST_F(CachingIndexTest, StampsResultHitFlag) {
   std::unique_ptr<VistIndex> index = MakeVist();
   CachingIndex cache(index.get());
   xml::Document doc = MustParse(UniqueDoc(1));
@@ -364,27 +464,23 @@ TEST_F(CachingIndexTest, StampsPlanAndResultHitFlags) {
   QueryOptions options;
   options.profile = &cold;
   ASSERT_TRUE(cache.Query("/doc/u1", options).ok());
-  EXPECT_FALSE(cold.plan_cache_hit);
   EXPECT_FALSE(cold.result_cache_hit);
 
   obs::QueryProfile hot;
   options.profile = &hot;
   ASSERT_TRUE(cache.Query("/doc/u1", options).ok());
   EXPECT_TRUE(hot.result_cache_hit);
-  EXPECT_FALSE(hot.plan_cache_hit) << "a result hit consults no plan";
   EXPECT_EQ(hot.index_nodes_accessed, 0u)
       << "a result hit must not touch storage";
   EXPECT_EQ(hot.verified_results, 1u);
 
-  // A mutation invalidates the result tier but not the plan tier.
+  // A mutation invalidates the cached result.
   xml::Document doc2 = MustParse(UniqueDoc(2));
   ASSERT_TRUE(index->InsertDocument(*doc2.root(), 2).ok());
   obs::QueryProfile warm;
   options.profile = &warm;
   ASSERT_TRUE(cache.Query("/doc/u1", options).ok());
   EXPECT_FALSE(warm.result_cache_hit);
-  EXPECT_TRUE(warm.plan_cache_hit)
-      << "cacheable plans survive mutations; only results are epoch-bound";
 
   // The Dump() surface carries the flags (docs/OBSERVABILITY.md).
   EXPECT_NE(hot.Dump().find("result_hit=1"), std::string::npos);
@@ -417,14 +513,14 @@ TEST_F(CachingIndexTest, OptionsFingerprintSeparatesCacheEntries) {
   EXPECT_TRUE(profile2.result_cache_hit);
 }
 
-TEST_F(CachingIndexTest, UncacheablePlanRecompilesAfterNameAppears) {
+TEST_F(CachingIndexTest, QueryRecompilesAfterNameAppears) {
   std::unique_ptr<VistIndex> index = MakeVist();
   CachingIndex cache(index.get());
   xml::Document doc = MustParse(UniqueDoc(1));
   ASSERT_TRUE(index->InsertDocument(*doc.root(), 1).ok());
 
   // "u7" was never interned: compilation proves emptiness, and that proof
-  // must not be cached.
+  // must not outlive the insert that interns the name.
   auto empty = cache.Query("/doc/u7");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
@@ -443,7 +539,6 @@ TEST_F(CachingIndexTest, ResultTierEvictsByByteBudgetInLruOrder) {
   CachingIndexOptions small;
   small.shards = 1;
   small.result_capacity_bytes = 1;  // clamped to the 256-byte shard floor
-  small.plan_capacity = 64;
   CachingIndex cache(index.get(), small);
   for (uint64_t id = 1; id <= 4; ++id) {
     xml::Document doc = MustParse(UniqueDoc(id));
@@ -465,32 +560,6 @@ TEST_F(CachingIndexTest, ResultTierEvictsByByteBudgetInLruOrder) {
   options.profile = &recent;
   ASSERT_TRUE(cache.Query("/doc/u1", options).ok());
   EXPECT_TRUE(recent.result_cache_hit);
-}
-
-TEST_F(CachingIndexTest, PlanTierEvictsByEntryCount) {
-  std::unique_ptr<VistIndex> index = MakeVist();
-  CachingIndexOptions small;
-  small.shards = 1;
-  small.plan_capacity = 2;
-  CachingIndex cache(index.get(), small);
-  for (uint64_t id = 1; id <= 3; ++id) {
-    xml::Document doc = MustParse(UniqueDoc(id));
-    ASSERT_TRUE(index->InsertDocument(*doc.root(), id).ok());
-  }
-
-  const uint64_t evictions_before =
-      obs::GetCounter("cache.plan.evictions").value();
-  obs::QueryProfile profile;
-  QueryOptions options;
-  options.profile = &profile;
-  for (uint64_t id = 1; id <= 3; ++id) {  // 3 plans into capacity 2
-    ASSERT_TRUE(cache.Prepare("/doc/u" + std::to_string(id), options).ok());
-  }
-  EXPECT_GT(obs::GetCounter("cache.plan.evictions").value(), evictions_before);
-  ASSERT_TRUE(cache.Prepare("/doc/u1", options).ok());
-  EXPECT_FALSE(profile.plan_cache_hit) << "LRU victim was /doc/u1";
-  ASSERT_TRUE(cache.Prepare("/doc/u3", options).ok());
-  EXPECT_TRUE(profile.plan_cache_hit);
 }
 
 TEST_F(CachingIndexTest, RejectsPlansFromAnotherEngine) {

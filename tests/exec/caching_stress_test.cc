@@ -90,8 +90,8 @@ TEST_F(CachingStressTest, CachedReadersSeeOnlyWholeWriterSnapshots) {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
         // Mix the serving paths: the hot query exercises result hits and
-        // epoch invalidation; the rotating point queries churn the plan
-        // tier; one reader goes through Prepare + QueryWithPlan.
+        // epoch invalidation; the rotating point queries churn the LRU;
+        // one reader goes through Prepare + QueryWithPlan.
         Result<std::vector<uint64_t>> result = std::vector<uint64_t>{};
         if (t == 0) {
           auto plan = cache.Prepare(kHotQuery);
@@ -121,7 +121,7 @@ TEST_F(CachingStressTest, CachedReadersSeeOnlyWholeWriterSnapshots) {
   }
 
   // A maintenance thread clears the cache while everyone runs: Clear()
-  // takes every shard mutex and must not deadlock or corrupt the tiers.
+  // takes every shard mutex and must not deadlock or corrupt the cache.
   std::thread clearer([&] {
     while (!stop.load(std::memory_order_acquire)) {
       cache.Clear();

@@ -129,9 +129,9 @@ TEST_P(ChaosTest, ServingPathSurvivesAFaultStorm) {
     auto client = Client::Connect("127.0.0.1", server.port());
     if (!client.ok()) return;
     for (uint64_t i = 1; i <= kWriterDocs; ++i) {
-      // Faults may kill individual inserts; integrity, not count, is
-      // what the end-state checks assert.
-      IgnoreError((*client)->Insert(ChaosDoc(i), i));
+      IgnoreError((*client)->Insert(ChaosDoc(i), i),
+                  "faults may kill individual inserts; integrity, not "
+                  "count, is what the end-state checks assert");
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });

@@ -75,8 +75,7 @@ Status Use() {
   t.Set(c.Get());
   VIST_RETURN_IF_ERROR(DoWork());
   VIST_ASSIGN_OR_RETURN(int v, Compute());
-  // Sanctioned discard: best-effort call whose failure changes nothing.
-  IgnoreError(DoWork());
+  IgnoreError(DoWork(), "best-effort call whose failure changes nothing");
   return v >= 0 && t.Size() == 0 && !Retryable(StatusCode::kOk)
              ? Status::OK()
              : Status::InvalidArgument("bad");

@@ -1,7 +1,7 @@
 // MUST NOT COMPILE (-Werror=unused-result): a Status-returning call whose
 // result is silently dropped. vist::Status is [[nodiscard]]; errors are
 // either handled, propagated, or routed through vist::IgnoreError with a
-// comment — never ignored by omission.
+// reason — never ignored by omission.
 #include "common/status.h"
 
 namespace vist {

@@ -5,10 +5,11 @@
 # any of them compiles, or if a rejection comes from the wrong diagnostic
 # (e.g. a broken include rather than the lint we are testing).
 #
-# Four cases are compiler-agnostic ([[nodiscard]] on Status/Result,
-# -Wshadow, -Wswitch-enum); the thread-safety cases need clang and are
-# skipped, loudly, under other compilers. control_ok.cc must compile with
-# every flag — it guards against the gates rejecting *correct* code.
+# Five cases are compiler-agnostic ([[nodiscard]] on Status/Result,
+# -Wshadow, -Wswitch-enum, IgnoreError's required reason); the
+# thread-safety cases need clang and are skipped, loudly, under other
+# compilers. control_ok.cc must compile with every flag — it guards
+# against the gates rejecting *correct* code.
 #
 # Usage: compile_fail_test.sh <c++-compiler> <src-include-dir> <cases-dir>
 set -u
@@ -69,6 +70,7 @@ expect_fail discarded_status.cc nodiscard -Werror=unused-result
 expect_fail discarded_result.cc nodiscard -Werror=unused-result
 expect_fail shadowed_local.cc shadow -Werror=shadow
 expect_fail defaulted_status_switch.cc switch-enum -Werror=switch-enum
+expect_fail ignore_error_without_reason.cc IgnoreError
 
 # Thread-safety rejections (clang only).
 if [[ "$HAVE_TSA" == "1" ]]; then
@@ -85,8 +87,8 @@ else
 fi
 
 echo "compile-fail: $ran rejected, $skipped skipped, $failures failures"
-if (( ran < 4 )); then
-  echo "FAIL: fewer than 4 violation classes demonstrated"
+if (( ran < 5 )); then
+  echo "FAIL: fewer than 5 violation classes demonstrated"
   exit 1
 fi
 exit $(( failures > 0 ? 1 : 0 ))

@@ -26,10 +26,6 @@ run_lint() { python3 "$LINT" --root "$TMP"; }
 
 fail() { echo "lint_mutant_test: FAIL: $*" >&2; exit 1; }
 
-restore() { # restore <relative-path>
-  cp "$ROOT/$1" "$TMP/$1"
-}
-
 # expect_finding <mutant-name> <rule-tag> <output-substring>
 expect_finding() {
   local name="$1" tag="$2" needle="$3" out rc=0
@@ -56,16 +52,7 @@ EOF
 expect_finding "raw-std-mutex" raw-mutex "std::mutex"
 rm "$TMP/tests/sneaky_raw_mutex.cc"
 
-# Mutant 2 [ignore-error]: strip the justification comment off a real
-# IgnoreError call site.
-sed -i '/Faults may kill individual inserts/d;/what the end-state checks assert/d' \
-  "$TMP/tests/server/chaos_test.cc"
-grep -q "IgnoreError" "$TMP/tests/server/chaos_test.cc" || \
-  fail "mutant 2 setup: chaos_test.cc no longer calls IgnoreError"
-expect_finding "undocumented-ignore-error" ignore-error "justification"
-restore tests/server/chaos_test.cc
-
-# Mutant 3 [snapshot-pin]: chain .get() onto a temporary GetSnapshot()
+# Mutant 2 [snapshot-pin]: chain .get() onto a temporary GetSnapshot()
 # result — the RAII pin dies at the end of the expression and the raw
 # Snapshot* reads reclaimable pages.
 cat > "$TMP/tests/sneaky_snapshot_get.cc" <<'EOF'
@@ -77,7 +64,7 @@ EOF
 expect_finding "dangling-snapshot-get" snapshot-pin "temporary GetSnapshot()"
 rm "$TMP/tests/sneaky_snapshot_get.cc"
 
-# Mutant 4 [snapshot-pin]: construct a BTreeView from a raw root outside
+# Mutant 3 [snapshot-pin]: construct a BTreeView from a raw root outside
 # the storage layer and the engine implementation files — bypasses the
 # Snapshot pin entirely.
 cat > "$TMP/tests/sneaky_raw_root.cc" <<'EOF'
@@ -87,7 +74,7 @@ EOF
 expect_finding "raw-root-view" snapshot-pin "BTree::ViewAt"
 rm "$TMP/tests/sneaky_raw_root.cc"
 
-# Mutant 5 [snapshot-pin]: index a Version's raw meta-slot array outside
+# Mutant 4 [snapshot-pin]: index a Version's raw meta-slot array outside
 # the storage layer.
 cat > "$TMP/tests/sneaky_raw_slots.cc" <<'EOF'
 struct Version { unsigned long slots[4]; };

@@ -81,8 +81,6 @@ TEST_F(BTreeTest, EmptyTreeBehaviour) {
   auto it = tree_->NewIterator();
   it->SeekToFirst();
   EXPECT_FALSE(it->Valid());
-  it->SeekToLast();
-  EXPECT_FALSE(it->Valid());
   it->Seek("x");
   EXPECT_FALSE(it->Valid());
   auto count = tree_->CountEntries();
@@ -169,28 +167,6 @@ TEST_F(BTreeTest, SeekFindsFirstKeyAtOrAfter) {
   EXPECT_EQ(it->key().ToString(), "k990");
   it->Seek("k991");
   EXPECT_FALSE(it->Valid());
-}
-
-TEST_F(BTreeTest, ReverseIterationMatchesForward) {
-  const int kN = 2000;
-  for (int i = 0; i < kN; ++i) {
-    std::string key;
-    PutFixed32BE(&key, static_cast<uint32_t>(i * 37 % kN));
-    tree_->Put(key, std::to_string(i)).ok();
-  }
-  std::vector<std::string> forward;
-  auto it = tree_->NewIterator();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    forward.push_back(it->key().ToString());
-  }
-  std::vector<std::string> backward;
-  for (it->SeekToLast(); it->Valid(); it->Prev()) {
-    backward.push_back(it->key().ToString());
-  }
-  ASSERT_EQ(forward.size(), backward.size());
-  for (size_t i = 0; i < forward.size(); ++i) {
-    EXPECT_EQ(forward[i], backward[backward.size() - 1 - i]);
-  }
 }
 
 TEST_F(BTreeTest, DeleteRemovesAndCompactsTree) {
