@@ -2,8 +2,8 @@
 //
 //   vist_server [--engine=vist|router] <index-dir> [port]
 //
-// Default engine (vist): creates the index directory if it does not exist
-// (opens it otherwise), wraps it in the serving cache, and serves the
+// Default engine (vist): opens the index in the directory, or creates one
+// when it holds none, wraps it in the serving cache, and serves the
 // binary wire protocol (docs/SERVING.md) on 127.0.0.1:<port> until
 // SIGINT/SIGTERM, then drains in-flight requests and exits.
 //
@@ -133,9 +133,12 @@ int main(int argc, char** argv) {
                                "router");
   }
 
-  auto index = std::filesystem::exists(dir)
-                   ? vist::VistIndex::Open(dir, vist::VistOptions())
-                   : vist::VistIndex::Create(dir, vist::VistOptions());
+  // NotFound: the directory holds no committed index (absent, or left by
+  // a Create that crashed), so make one.
+  auto index = vist::VistIndex::Open(dir, vist::VistOptions());
+  if (index.status().IsNotFound()) {
+    index = vist::VistIndex::Create(dir, vist::VistOptions());
+  }
   if (!index.ok()) {
     fprintf(stderr, "open %s: %s\n", dir.c_str(),
             index.status().ToString().c_str());

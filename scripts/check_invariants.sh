@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# ViST invariant gate: runs the project-specific linter (scripts/vist_lint.py
-# — raw-mutex ban, snapshot-pin encapsulation)
-# and verifies the lock-order table in docs/CONCURRENCY.md matches
-# src/common/lock_ranks.h, both directions. When a lockdep edge-graph dump
+# ViST invariant gate: runs the project-specific linter (scripts/vist_lint.py,
+# whose one remaining rule is the [raw-mutex] ban) and verifies the
+# lock-order table in docs/CONCURRENCY.md matches src/common/lock_ranks.h,
+# both directions. When a lockdep edge-graph dump
 # is supplied (--edges FILE, or $VIST_LOCKDEP_EDGES), the observed runtime
 # acquisition order is also diffed against the table — scripts/check_tsan.sh
 # produces such dumps from the stress/faults suites under

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """vist_lint.py — the ViST invariant linter.
 
-Enforces the project-specific rules that generic clang-tidy cannot (see
+Enforces the project-specific rule that generic clang-tidy cannot (see
 docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
 
   [raw-mutex]      No raw std::mutex / std::shared_mutex / std::lock_guard
@@ -11,20 +11,6 @@ docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
                    thread-safety annotations and the runtime lockdep layer
                    see every acquisition. Per-line escape hatch:
                    `vist-lint: allow-raw-mutex — <reason>`.
-
-  [snapshot-pin]   Snapshot reads stay pinned and encapsulated. Two
-                   shapes are rejected: (a) `.get()`/`->get()` chained
-                   onto a temporary `GetSnapshot()` result — the RAII
-                   pin dies at the end of the full expression, leaving a
-                   raw Snapshot* whose pages may be reclaimed mid-read
-                   (escape hatch `vist-lint: allow-snapshot-get(<reason>)`);
-                   (b) `BTree::ViewAt` / `Version::slots` outside the
-                   storage layer, the engine implementation files, and
-                   tests/storage — raw tree-root PageIds must not escape
-                   the engine boundary; everything else reads through
-                   `QueryableIndex::GetSnapshot()` /
-                   `QueryOptions::snapshot` (escape hatch
-                   `vist-lint: allow-raw-root(<reason>)`).
 
 The engine is a dependency-free lexical analyzer (comment/string
 stripping and regular expressions over the real sources), so the gate
@@ -58,10 +44,6 @@ import json
 import re
 import sys
 from pathlib import Path
-
-# [snapshot-pin]: how many lines above a finding its escape-hatch
-# annotation may sit.
-JUSTIFICATION_WINDOW = 3
 
 # [raw-mutex]: the two files allowed to touch the std types — the wrapper
 # itself, and the lockdep core (which cannot be built on the wrappers it
@@ -182,71 +164,6 @@ def check_raw_mutex(root, path, original_lines, stripped):
             "common/mutex.h (rank-checked under VIST_DEADLOCK_DEBUG); "
             "annotate `vist-lint: allow-raw-mutex` with a reason if this "
             "site truly cannot"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# [snapshot-pin]
-
-# (a) A `.get()`/`->get()` chained onto GetSnapshot() in one expression:
-# the temporary shared_ptr releases its pin at the end of the full
-# expression, so the surviving raw pointer reads reclaimable pages.
-SNAPSHOT_GET_RE = re.compile(r"\bGetSnapshot\s*\([^;{}]*?[.>]\s*get\s*\(")
-ALLOW_SNAPSHOT_GET_ANNOTATION = "vist-lint: allow-snapshot-get("
-
-# (b) Raw root escapes: BTreeView construction and Version slot access are
-# storage/engine internals; everything else must read through the Snapshot
-# API so pins and reclamation stay correct by construction.
-VIEW_AT_RE = re.compile(r"\bViewAt\s*\(")
-RAW_SLOTS_RE = re.compile(r"(?:\.|->)\s*slots\s*\[")
-ALLOW_RAW_ROOT_ANNOTATION = "vist-lint: allow-raw-root("
-SNAPSHOT_PIN_ALLOWED_PREFIXES = ("src/storage/", "tests/storage/")
-SNAPSHOT_PIN_ALLOWED_FILES = [
-    # The QueryableIndex engines' implementation files (their Snapshot
-    # classes wrap the views) and the static RIST index.
-    "src/vist/vist_index.cc",
-    "src/vist/rist_builder.cc",
-    "src/baseline/path_index.cc",
-    "src/baseline/node_index.cc",
-]
-
-
-def check_snapshot_pin(root, path, original_lines, stripped):
-    findings = []
-    rp = rel(root, path)
-
-    def annotated(line, annotation):
-        window = original_lines[max(0, line - 1 - JUSTIFICATION_WINDOW):line]
-        return any(annotation in ln for ln in window)
-
-    for match in SNAPSHOT_GET_RE.finditer(stripped):
-        line = line_of(stripped, match.start())
-        if annotated(line, ALLOW_SNAPSHOT_GET_ANNOTATION):
-            continue
-        findings.append(Finding(
-            "snapshot-pin", rp, line,
-            ".get() on a temporary GetSnapshot() result — the RAII pin "
-            "dies at the end of the full expression, so the raw pointer "
-            "reads pages the writer may reclaim; bind the shared_ptr to a "
-            "variable that outlives every read (annotate `vist-lint: "
-            "allow-snapshot-get(<reason>)` if the pin provably survives)"))
-
-    if (rp.startswith(SNAPSHOT_PIN_ALLOWED_PREFIXES)
-            or rp in SNAPSHOT_PIN_ALLOWED_FILES):
-        return findings
-    for regex, what in ((VIEW_AT_RE, "BTree::ViewAt"),
-                        (RAW_SLOTS_RE, "Version::slots")):
-        for match in regex.finditer(stripped):
-            line = line_of(stripped, match.start())
-            if annotated(line, ALLOW_RAW_ROOT_ANNOTATION):
-                continue
-            findings.append(Finding(
-                "snapshot-pin", rp, line,
-                f"{what} outside the storage layer and the engine "
-                "implementation files — raw tree-root PageIds must not "
-                "escape the engine boundary; read through "
-                "QueryableIndex::GetSnapshot() / QueryOptions::snapshot, "
-                "or annotate `vist-lint: allow-raw-root(<reason>)`"))
     return findings
 
 
@@ -425,7 +342,6 @@ def run_lint(root, engine):
         original_lines = text.splitlines()
         stripped = strip_comments_and_strings(text)
         findings += check_raw_mutex(root, path, original_lines, stripped)
-        findings += check_snapshot_pin(root, path, original_lines, stripped)
 
     if engine == "libclang":
         findings = refine_raw_mutex_with_libclang(root, findings)

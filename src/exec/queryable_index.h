@@ -94,12 +94,12 @@ struct QueryOptions {
   /// caller owns it; fields accumulate, so reuse across queries sums.
   obs::QueryProfile* profile = nullptr;
   /// Evaluate against this pinned snapshot instead of the current state —
-  /// repeatable reads across any number of queries. Borrowed: the caller
-  /// must keep the owning shared_ptr from GetSnapshot() alive for the
-  /// call, and the snapshot must come from the same engine the query is
-  /// sent to (engines reject foreign snapshots with InvalidArgument).
-  /// Null (default): each query pins the current version by itself.
-  const Snapshot* snapshot = nullptr;
+  /// repeatable reads across any number of queries. The options own a pin
+  /// of their own, so the snapshot stays readable for as long as they (or
+  /// any copy) live. It must come from the same engine the query is sent
+  /// to (engines reject foreign snapshots with InvalidArgument). Null
+  /// (default): each query pins the current version by itself.
+  std::shared_ptr<const Snapshot> snapshot;
   /// Cooperative cancellation: engines checkpoint their scan loops against
   /// this deadline and return DeadlineExceeded within a bounded number of
   /// additional index-node visits once it passes (common/deadline.h).
@@ -175,8 +175,7 @@ class QueryableIndex {
 
   virtual Result<IndexStats> Stats() = 0;
 
-  /// Makes all prior mutations durable (and, on engines with a journal,
-  /// commits the current batch).
+  /// Makes all prior mutations durable by committing the current batch.
   virtual Status Flush() = 0;
 
   /// Monotonically increasing mutation counter: bumped exactly once by
@@ -208,22 +207,20 @@ class QueryableIndex {
 
   /// The snapshot a query reads: `options.snapshot` when the caller gave
   /// one — checked to be a `SnapshotT` this index issued (InvalidArgument
-  /// otherwise) and returned as a non-owning alias, since the caller keeps
-  /// it alive for the call — else `pin()`, a fresh pin of the current
-  /// state.
+  /// otherwise) — else `pin()`, a fresh pin of the current state.
   template <typename SnapshotT, typename Pin>
   Result<std::shared_ptr<const SnapshotT>> ResolveSnapshot(
       const QueryOptions& options, Pin&& pin) const {
     if (options.snapshot == nullptr) return pin();
-    const auto* snap = options.snapshot->owner_ == this
-                           ? dynamic_cast<const SnapshotT*>(options.snapshot)
-                           : nullptr;
+    std::shared_ptr<const SnapshotT> snap;
+    if (options.snapshot->owner_ == this) {
+      snap = std::dynamic_pointer_cast<const SnapshotT>(options.snapshot);
+    }
     if (snap == nullptr) {
       return Status::InvalidArgument(
           "QueryOptions::snapshot was not issued by this index");
     }
-    return std::shared_ptr<const SnapshotT>(
-        std::shared_ptr<const SnapshotT>(), snap);
+    return snap;
   }
 
  private:

@@ -11,6 +11,9 @@ namespace vist {
 namespace exec {
 namespace {
 
+// Weight of the newest observation in the per-bucket cost EWMA.
+constexpr double kEwmaAlpha = 0.25;
+
 // Quantizes selectivity into coarse log10 bands: postings holding ≥10% of
 // the corpus behave nothing like the ones holding <0.1%, but finer
 // distinctions than a decade don't change which engine wins.
@@ -330,8 +333,7 @@ Result<std::vector<uint64_t>> Router::QueryWithPlan(
     obs::QueryProfile local;
     QueryOptions engine_options = options;
     engine_options.profile = &local;
-    engine_options.snapshot =
-        snap->engines_[static_cast<size_t>(pick)].get();
+    engine_options.snapshot = snap->engines_[static_cast<size_t>(pick)];
     auto result = EngineFor(pick)->QueryWithPlan(
         *router_plan->inner(static_cast<size_t>(pick)), engine_options);
     if (result.ok()) {
@@ -427,8 +429,7 @@ void Router::RecordObservation(uint32_t bucket_key, Engine engine,
   EngineStat& stat = bucket.engines[static_cast<size_t>(engine)];
   stat.ewma_cost = stat.observations == 0
                        ? cost
-                       : options_.ewma_alpha * cost +
-                             (1 - options_.ewma_alpha) * stat.ewma_cost;
+                       : kEwmaAlpha * cost + (1 - kEwmaAlpha) * stat.ewma_cost;
   ++stat.observations;
   const int after = observed_argmin(bucket);
   // The argmin flipping means live traffic just proved the previous

@@ -77,8 +77,6 @@ struct RouterOptions {
   /// estimates for the non-preferred engines never go stale. 0 disables
   /// periodic exploration (cold-start round-robin still happens).
   size_t explore_every = 64;
-  /// Weight of the newest observation in the per-bucket cost EWMA.
-  double ewma_alpha = 0.25;
   /// Observations each engine needs in a bucket before its EWMA replaces
   /// the static prior (and before the bucket counts as warm).
   uint64_t min_observations = 3;

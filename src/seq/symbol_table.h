@@ -47,7 +47,8 @@ inline bool IsNameSymbol(Symbol s) {
 }
 
 /// Interns element/attribute names to dense symbols (starting at 1) and
-/// back. Persisted next to the index so symbols are stable across sessions.
+/// back. Persisted inside the index, one record per name, so symbols are
+/// stable across sessions.
 ///
 /// Internally synchronized (rank kSymbolTable): Intern takes the lock
 /// exclusively, everything else shared, so lock-free snapshot readers may
@@ -89,9 +90,11 @@ class SymbolTable {
   /// Number of interned names.
   size_t size() const;
 
-  /// Persistence: a flat file of length-prefixed names in id order.
-  Status Save(const std::string& path) const;
-  static Result<SymbolTable> Load(const std::string& path);
+  /// Persistence: an index stores each name's record — its symbol and
+  /// Name() — and rebuilds the table by restoring the records in symbol
+  /// order. Corruption unless `symbol` is the next dense id and `name` is
+  /// not interned yet.
+  Status Restore(Symbol symbol, std::string_view name);
 
  private:
   mutable SharedMutex mu_{LockRank::kSymbolTable};

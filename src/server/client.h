@@ -7,7 +7,7 @@
 //     wait for its response. This is what applications and the
 //     mixed-workload bench use. These calls are fault-tolerant: a broken
 //     connection is re-established with exponential backoff, a per-call
-//     timeout is both sent to the server (the v2 deadline_ms field) and
+//     timeout is both sent to the server (the deadline_ms field) and
 //     enforced locally, and failed attempts are retried — but only when
 //     safe (see the retry matrix in docs/SERVING.md) and only while the
 //     retry budget lasts, so a struggling server sees load shed rather

@@ -1,7 +1,6 @@
 #include "server/protocol.h"
 
 #include "common/coding.h"
-#include "common/logging.h"
 
 namespace vist {
 namespace server {
@@ -18,9 +17,8 @@ void AppendFrame(const std::string& body, std::string* out) {
   out->append(body);
 }
 
-void AppendBodyHeader(uint8_t opcode, uint64_t id, std::string* body,
-                      uint8_t version = kProtocolVersion) {
-  body->push_back(static_cast<char>(version));
+void AppendBodyHeader(uint8_t opcode, uint64_t id, std::string* body) {
+  body->push_back(static_cast<char>(kProtocolVersion));
   body->push_back(static_cast<char>(opcode));
   char idbuf[8];
   EncodeFixed64LE(idbuf, id);
@@ -54,17 +52,16 @@ void PutFixed32(std::string* out, uint32_t value) {
 }
 
 /// Decodes the shared body header; on success `*body` is left at the
-/// payload (for v2 requests that still includes the deadline field — the
-/// caller strips it) and `*version` holds the frame's version byte.
-Status DecodeBodyHeader(Slice* body, uint8_t* opcode, uint64_t* id,
-                        uint8_t* version) {
+/// payload (for requests that still includes the deadline field — the
+/// caller strips it).
+Status DecodeBodyHeader(Slice* body, uint8_t* opcode, uint64_t* id) {
   if (body->size() < kBodyHeaderBytes) {
     return Status::ParseError("frame body shorter than the fixed header");
   }
-  *version = static_cast<uint8_t>((*body)[0]);
-  if (*version < kMinProtocolVersion || *version > kProtocolVersion) {
+  const auto version = static_cast<uint8_t>((*body)[0]);
+  if (version != kProtocolVersion) {
     return Status::ParseError("unsupported protocol version " +
-                              std::to_string(*version));
+                              std::to_string(version));
   }
   *opcode = static_cast<uint8_t>((*body)[1]);
   body->RemovePrefix(2);
@@ -74,11 +71,10 @@ Status DecodeBodyHeader(Slice* body, uint8_t* opcode, uint64_t* id,
 
 }  // namespace
 
-void EncodeRequest(const Request& req, std::string* out, uint8_t version) {
-  VIST_CHECK(version >= kMinProtocolVersion && version <= kProtocolVersion);
+void EncodeRequest(const Request& req, std::string* out) {
   std::string body;
-  AppendBodyHeader(static_cast<uint8_t>(req.op), req.id, &body, version);
-  if (version >= 2) PutFixed32(&body, req.deadline_ms);
+  AppendBodyHeader(static_cast<uint8_t>(req.op), req.id, &body);
+  PutFixed32(&body, req.deadline_ms);
   switch (req.op) {
     case Opcode::kQuery:
       body.push_back(static_cast<char>(req.verify ? kVerifyFlag : 0));
@@ -128,14 +124,12 @@ void EncodeResponse(const Response& resp, std::string* out) {
 
 Status DecodeRequest(Slice body, Request* req) {
   uint8_t opcode = 0;
-  uint8_t version = 0;
-  VIST_RETURN_IF_ERROR(DecodeBodyHeader(&body, &opcode, &req->id, &version));
+  VIST_RETURN_IF_ERROR(DecodeBodyHeader(&body, &opcode, &req->id));
   if ((opcode & kResponseBit) != 0) {
     return Status::ParseError("response opcode in a request frame");
   }
-  req->deadline_ms = 0;
-  if (version >= 2 && !GetFixed32(&body, &req->deadline_ms)) {
-    return Status::ParseError("v2 request missing deadline field");
+  if (!GetFixed32(&body, &req->deadline_ms)) {
+    return Status::ParseError("request missing deadline field");
   }
   req->op = static_cast<Opcode>(opcode);
   switch (req->op) {
@@ -165,8 +159,7 @@ Status DecodeRequest(Slice body, Request* req) {
 
 Status DecodeResponse(Slice body, Response* resp) {
   uint8_t opcode = 0;
-  uint8_t version = 0;  // responses have one layout at every version
-  VIST_RETURN_IF_ERROR(DecodeBodyHeader(&body, &opcode, &resp->id, &version));
+  VIST_RETURN_IF_ERROR(DecodeBodyHeader(&body, &opcode, &resp->id));
   if ((opcode & kResponseBit) == 0) {
     return Status::ParseError("request opcode in a response frame");
   }

@@ -3,20 +3,18 @@
 // Every frame is a 4-byte little-endian body length followed by the body:
 //
 //   frame    := length(u32 LE) body
-//   body     := version(u8) opcode(u8) request_id(u64 LE) payload    (v1)
-//   body     := version(u8) opcode(u8) request_id(u64 LE)
-//               deadline_ms(u32 LE) payload                          (v2)
+//   request  := version(u8) opcode(u8) request_id(u64 LE)
+//               deadline_ms(u32 LE) payload
+//   response := version(u8) opcode(u8) request_id(u64 LE) payload
 //
-// The length counts body bytes only (so an empty-payload frame has length
-// 10 at v1, 14 at v2). `version` is a compatibility byte: a server answers
-// frames whose version it speaks and rejects others with kMalformed, which
-// is what lets the format evolve without ambiguity. Version 2 adds a
-// per-request deadline to request bodies — `deadline_ms` milliseconds of
-// budget measured from server receipt, 0 meaning none — and changes
-// nothing else: v1 requests still decode (deadline_ms = 0) and responses
-// are byte-identical under both versions. `request_id` is an opaque client
-// token echoed verbatim in the response, so clients may pipeline requests
-// and match answers out of order.
+// The length counts body bytes only (so an empty-payload request has
+// length 14). `version` is a compatibility byte: a server answers frames
+// whose version it speaks (kProtocolVersion) and rejects others with
+// kMalformed, which is what lets the format evolve without ambiguity.
+// `deadline_ms` is the request's budget in milliseconds measured from
+// server receipt, 0 meaning none. `request_id` is an opaque client token
+// echoed verbatim in the response, so clients may pipeline requests and
+// match answers out of order.
 //
 // Responses reuse the request opcode with the high bit set (0x80) and
 // prepend a one-byte wire status to the payload. The full frame layout,
@@ -43,13 +41,9 @@
 namespace vist {
 namespace server {
 
-/// The newest protocol version this tree speaks (it also still decodes
-/// version 1 requests). Bump on any frame layout change; document the
-/// delta in docs/SERVING.md.
+/// The one protocol version this tree speaks. Bump on any frame layout
+/// change; document the delta in docs/SERVING.md.
 constexpr uint8_t kProtocolVersion = 2;
-
-/// Oldest request version still accepted.
-constexpr uint8_t kMinProtocolVersion = 1;
 
 /// Bytes of the frame length prefix (u32 LE).
 constexpr size_t kLengthPrefixBytes = 4;
@@ -91,7 +85,6 @@ struct Request {
   Opcode op = Opcode::kQuery;
   uint64_t id = 0;       // echoed in the response
   /// Deadline budget in milliseconds from server receipt; 0 = none.
-  /// Only v2 frames carry it — a v1 request decodes with 0.
   uint32_t deadline_ms = 0;
   bool verify = false;   // kQuery
   std::string path;      // kQuery
@@ -111,11 +104,7 @@ struct Response {
 };
 
 /// Appends the complete frame (length prefix + body) for `req` to `out`.
-/// `version` selects the request layout (v1 omits the deadline_ms field —
-/// tests use it to prove backward compatibility); out-of-range versions
-/// are a programming error.
-void EncodeRequest(const Request& req, std::string* out,
-                   uint8_t version = kProtocolVersion);
+void EncodeRequest(const Request& req, std::string* out);
 
 /// Appends the complete frame for `resp` to `out`.
 void EncodeResponse(const Response& resp, std::string* out);

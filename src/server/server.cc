@@ -20,6 +20,10 @@ constexpr int kPollMs = 50;
 /// One recv's worth of buffered input.
 constexpr size_t kReadChunkBytes = 16384;
 
+/// Max requests a worker drains from the queue per wakeup (amortizes queue
+/// locking under load).
+constexpr size_t kBatchMax = 8;
+
 obs::Counter& ConnectionsCounter() {
   static obs::Counter& c = obs::GetCounter("server.connections");
   return c;
@@ -69,7 +73,6 @@ ServerOptions Sanitize(ServerOptions options) {
   if (options.num_workers < 1) options.num_workers = 1;
   if (options.max_inflight < 1) options.max_inflight = 1;
   if (options.max_pipeline < 1) options.max_pipeline = 1;
-  if (options.batch_max < 1) options.batch_max = 1;
   return options;
 }
 
@@ -347,7 +350,7 @@ void VistServer::WorkerLoop() {
         return !queue_.empty() || workers_stop_;
       });
       if (queue_.empty() && workers_stop_) return;
-      while (!queue_.empty() && batch.size() < options_.batch_max) {
+      while (!queue_.empty() && batch.size() < kBatchMax) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }

@@ -8,8 +8,8 @@
 // operators:
 //
 //   * Request batching — worker threads drain the dispatch queue in
-//     batches (`ServerOptions::batch_max`), amortizing queue locking when
-//     requests arrive faster than they complete.
+//     batches of up to 8 requests, amortizing queue locking when requests
+//     arrive faster than they complete.
 //   * Admission control — two bounds. Per connection, at most
 //     `max_pipeline` requests may be in flight; past that the reader simply
 //     stops reading the socket (deferred reads), so backpressure propagates
@@ -17,7 +17,7 @@
 //     requests may be queued or executing; past that new requests are
 //     answered kBusy immediately (`server.rejected`) rather than queued
 //     into unbounded memory.
-//   * Deadline shedding — a request carrying a v2 `deadline_ms` budget
+//   * Deadline shedding — a request carrying a `deadline_ms` budget
 //     whose deadline passes while it waits in the queue is answered
 //     kDeadlineExceeded without being executed (`server.shed`); the
 //     remaining budget of the ones that do run is passed to the engine,
@@ -139,8 +139,6 @@ struct ServerOptions {
   /// kFrameTooLarge and the connection is closed (the stream cannot be
   /// trusted past a hostile length).
   size_t max_frame_bytes = 1u << 20;
-  /// Max requests a worker drains from the queue per wakeup.
-  size_t batch_max = 8;
   /// Test seam: runs on the worker thread immediately before each request
   /// executes. Lets tests hold workers mid-flight to observe admission
   /// control and shutdown draining deterministically.

@@ -221,9 +221,9 @@ class BTree {
 };
 
 /// A value-type read view: one tree at one version's root. Copyable and
-/// cheap; never exposes the root PageId (snapshot handles own the pin,
-/// see the [snapshot-pin] lint rule). A default-constructed view is
-/// invalid; engines only hand out views built by BTree::ViewAt.
+/// cheap; never exposes the root PageId (snapshot handles own the pin).
+/// A default-constructed view is invalid; engines only hand out views
+/// built by BTree::ViewAt.
 class BTreeView {
  public:
   BTreeView() = default;

@@ -55,6 +55,12 @@ constexpr int kMaxIoAttempts = 3;
 
 std::string JournalPath(const std::string& path) { return path + ".journal"; }
 
+// The upper bound keeps 16-bit in-page offsets valid.
+bool ValidPageSize(uint32_t page_size) {
+  return page_size >= 512 && page_size <= 32768 &&
+         (page_size & (page_size - 1)) == 0;
+}
+
 // Reads exactly `n` bytes at `offset`, retrying transient errors. A short
 // read is Corruption (the caller expected the bytes to exist).
 Status ReadFull(File* file, uint64_t offset, char* buf, size_t n,
@@ -172,15 +178,19 @@ Pager::~Pager() {
 
 Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
                                            const PagerOptions& options) {
-  if (options.page_size < 512 || options.page_size > 32768 ||
-      (options.page_size & (options.page_size - 1))) {
-    // The upper bound keeps 16-bit in-page offsets valid.
+  if (!ValidPageSize(options.page_size)) {
     return Status::InvalidArgument(
         "page_size must be a power of two in [512, 32768]");
   }
   Env* env = options.env != nullptr ? options.env : Env::Default();
+  if (!options.create) {
+    VIST_ASSIGN_OR_RETURN(bool exists, env->FileExists(path));
+    if (!exists) return Status::NotFound(path + " does not exist");
+  }
+  Env::OpenOptions open_options;
+  open_options.create = options.create;
   VIST_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                        env->Open(path, Env::OpenOptions{}));
+                        env->Open(path, open_options));
   VIST_ASSIGN_OR_RETURN(uint64_t file_size, file->Size());
 
   // A leftover journal means the last batch never committed: roll back to
@@ -188,10 +198,12 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   VIST_ASSIGN_OR_RETURN(bool has_journal,
                         env->FileExists(JournalPath(path)));
   if (file_size > 0 && has_journal) {
-    VIST_RETURN_IF_ERROR(RecoverFromJournal(env, file.get(), path,
-                                            options.page_size,
-                                            options.durability));
+    VIST_RETURN_IF_ERROR(
+        RecoverFromJournal(env, file.get(), path, options.durability));
     VIST_ASSIGN_OR_RETURN(file_size, file->Size());
+  }
+  if (file_size == 0 && !options.create) {
+    return Status::NotFound(path + " holds no pages");
   }
 
   std::unique_ptr<Pager> pager(
@@ -201,27 +213,23 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   // contract uniform for the thread-safety analysis.
   MutexLock lock(pager->mu_);
   if (file_size == 0) {
-    // Fresh file: write the initial header.
-    VIST_RETURN_IF_ERROR(WriteHeaderRaw(pager->file_.get(),
-                                        pager->page_size_,
-                                        pager->page_count(),
-                                        pager->freelist_head_,
-                                        pager->meta_slots_));
+    // A new file: Sync writes its first header, after the first batch's
+    // journal. A crash inside that batch leaves the journal to restore the
+    // header from (or, under kPowerLoss, an empty file), never a torn
+    // header alone.
+    pager->header_dirty_ = true;
   } else {
-    // Check the stored page size from the fixed-offset prefix before any
-    // full-page read: with a mismatched size the checksum math would call
-    // this usage error corruption.
-    char head[12];
+    // The header records the file's page size at a fixed offset; read it
+    // before the full, checksummed header page.
+    char head[kPageSizeOffset + 4];
     VIST_RETURN_IF_ERROR(
         ReadFull(pager->file_.get(), 0, head, sizeof(head), path));
-    if (DecodeFixed64LE(head + kMagicOffset) == kMagic) {
-      const uint32_t stored = DecodeFixed32LE(head + kPageSizeOffset);
-      if (stored != options.page_size) {
-        return Status::InvalidArgument(
-            path + " uses page_size " + std::to_string(stored) +
-            ", opened with " + std::to_string(options.page_size));
-      }
+    const uint32_t stored = DecodeFixed32LE(head + kPageSizeOffset);
+    if (!ValidPageSize(stored)) {
+      return Status::Corruption(path + " records an invalid page_size " +
+                                std::to_string(stored));
     }
+    pager->page_size_ = stored;
     VIST_RETURN_IF_ERROR(pager->ReadHeader());
     if (file_size <
         pager->page_count() * static_cast<uint64_t>(pager->page_size_)) {
@@ -235,7 +243,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
 }
 
 Status Pager::RecoverFromJournal(Env* env, File* file,
-                                 const std::string& path, uint32_t page_size,
+                                 const std::string& path,
                                  DurabilityLevel durability) {
   const std::string journal_path = JournalPath(path);
   Env::OpenOptions ro;
@@ -254,8 +262,8 @@ Status Pager::RecoverFromJournal(Env* env, File* file,
     VIST_RETURN_IF_ERROR(env->DeleteFile(journal_path));
     return Status::OK();
   }
-  if (DecodeFixed64LE(header) != kJournalMagic ||
-      DecodeFixed32LE(header + 8) != page_size) {
+  const uint32_t page_size = DecodeFixed32LE(header + 8);
+  if (DecodeFixed64LE(header) != kJournalMagic || !ValidPageSize(page_size)) {
     return Status::Corruption("bad journal header for " + path);
   }
   const uint64_t page_count = DecodeFixed64LE(header + 12);

@@ -4,7 +4,8 @@
 //
 // File layout:
 //   page 0           header (magic, page size, page count, freelist head,
-//                    16 user metadata slots)
+//                    16 user metadata slots); a new file's header is first
+//                    written by its first Sync()
 //   pages 1..N-1     data pages, allocated/freed through the pager
 //
 // Every page — header included — ends in an 8-byte trailer holding a
@@ -79,13 +80,18 @@ enum class DurabilityLevel {
 };
 
 struct PagerOptions {
-  /// Bytes per page. The paper's experiments use 2 KB Berkeley DB pages;
-  /// we default to 4 KB and make it configurable for the size benchmarks.
+  /// Bytes per page of a new file. The paper's experiments use 2 KB
+  /// Berkeley DB pages; we default to 4 KB and make it configurable for
+  /// the size benchmarks. An existing file keeps the page size its header
+  /// records.
   uint32_t page_size = 4096;
   DurabilityLevel durability = DurabilityLevel::kProcessCrash;
   /// File-system seam; null means Env::Default(). The env must outlive the
   /// pager.
   Env* env = nullptr;
+  /// False: open only a file that holds pages; a missing or empty one is
+  /// NotFound, and nothing is created.
+  bool create = true;
 };
 
 /// Number of user metadata slots in the header page (each one PageId wide).
@@ -111,10 +117,10 @@ Result<PagerFileHeader> DecodePagerHeader(const char* page,
 
 class Pager {
  public:
-  /// Opens (creating if absent) the page file at `path`. When the file
-  /// already exists, `options.page_size` must match the stored one. Damage
-  /// (truncated header, short final page, mangled journal) surfaces as
-  /// Status::Corruption.
+  /// Opens (creating if absent, unless `options.create` is false) the page
+  /// file at `path`. An existing file is read at the page size its header
+  /// records. Damage (truncated header, out-of-range page size, short
+  /// final page, mangled journal) surfaces as Status::Corruption.
   static Result<std::unique_ptr<Pager>> Open(const std::string& path,
                                              const PagerOptions& options);
 
@@ -193,10 +199,10 @@ class Pager {
   /// kPowerLoss barrier: before overwriting committed page `id`, make the
   /// journal (and its directory entry) durable.
   Status SyncJournalForOverwrite(PageId id) VIST_REQUIRES(mu_);
-  /// Applies a leftover journal (crash recovery); called from Open.
+  /// Applies a leftover journal (crash recovery) at the page size the
+  /// journal records; called from Open.
   static Status RecoverFromJournal(Env* env, File* file,
                                    const std::string& path,
-                                   uint32_t page_size,
                                    DurabilityLevel durability);
 
   Env* env_;

@@ -15,11 +15,12 @@ VersionedStore::VersionedStore(std::unique_ptr<Pager> pager,
 }
 
 Result<std::unique_ptr<VersionedStore>> VersionedStore::Open(
-    const std::string& path, const StoreOptions& options) {
+    const std::string& path, const StoreOptions& options, bool create) {
   PagerOptions pager_options;
   pager_options.page_size = options.page_size;
   pager_options.durability = options.durability;
   pager_options.env = options.env;
+  pager_options.create = create;
   VIST_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
                         Pager::Open(path, pager_options));
   return std::unique_ptr<VersionedStore>(new VersionedStore(

@@ -41,9 +41,10 @@
 namespace vist {
 
 /// How to open a store's page file. Only page_size is a property of the
-/// file (an existing file must match it); the rest are runtime settings.
+/// file (a new file's; an existing one keeps its own); the rest are
+/// runtime settings.
 struct StoreOptions {
-  /// Bytes per page (the paper uses 2 KB Berkeley DB pages).
+  /// Bytes per page of a new file (the paper uses 2 KB Berkeley DB pages).
   uint32_t page_size = 4096;
   /// Buffer pool capacity in pages, raised to at least
   /// VersionedStore::kMinPoolPages. 16384 x 4 KB = 64 MB, a modest cache
@@ -64,10 +65,12 @@ class VersionedStore {
   /// StoreOptions::buffer_pool_pages asks for.
   static constexpr size_t kMinPoolPages = 256;
 
-  /// Opens (creating if absent) the page file at `path` and publishes its
-  /// committed meta slots as the first version.
+  /// Opens the page file at `path` and publishes its committed meta slots
+  /// as the first version. An absent file is created, unless `create` is
+  /// false: then a missing or empty file is NotFound.
   static Result<std::unique_ptr<VersionedStore>> Open(
-      const std::string& path, const StoreOptions& options);
+      const std::string& path, const StoreOptions& options,
+      bool create = true);
 
   /// Frees every limbo page, writes back dirty pages and syncs — unless
   /// SimulateCrashForTesting ran. No snapshot may outlive the store.
@@ -113,6 +116,10 @@ class VersionedStore {
   /// snapshot can still reach to the freelist (so the synced freelist
   /// accounts for them), writes back dirty pages, and syncs the file.
   Status Flush();
+
+  /// The page file's page size: an existing file's own, whatever
+  /// StoreOptions::page_size asked for.
+  uint32_t page_size() const { return pager_->page_size(); }
 
   /// Page-file size in bytes.
   uint64_t size_bytes() const {

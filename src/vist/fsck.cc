@@ -4,12 +4,9 @@
 #include <sstream>
 
 #include "common/coding.h"
-#include "seq/symbol_table.h"
 #include "storage/page.h"
 #include "storage/pager.h"
 #include "vist/manifest.h"
-#include "vist/schema_stats.h"
-#include "vist/vist_index.h"
 
 namespace vist {
 namespace {
@@ -137,19 +134,17 @@ std::string FsckReport::Summary() const {
 
 Result<FsckReport> RunFsck(const std::string& dir,
                            const FsckOptions& options) {
-  VistOptions manifest;
-  VIST_RETURN_IF_ERROR(LoadManifest(dir, &manifest));
-
   FsckReport report;
 
-  // Opening validates the header (magic, checksum, field sanity, file not
-  // shorter than the header claims) and rolls back any pending journal, so
-  // the rest of the scan sees last-committed state.
+  // Opening validates the header (magic, page size, checksum, field
+  // sanity, file not shorter than the header claims) and rolls back any
+  // pending journal, so the rest of the scan sees last-committed state.
   PagerOptions pager_options;
-  pager_options.page_size = manifest.page_size;
   pager_options.durability = DurabilityLevel::kPowerLoss;
   pager_options.env = options.env;
+  pager_options.create = false;
   auto pager_or = Pager::Open(PageFilePath(dir), pager_options);
+  if (pager_or.status().IsNotFound()) return pager_or.status();
   if (!pager_or.ok()) {
     report.problems.push_back("page file: " + pager_or.status().message());
     return report;
@@ -167,17 +162,15 @@ Result<FsckReport> RunFsck(const std::string& dir,
     }
   }
 
-  // Pass 2: tree walks. Meta slots 0-2 hold tree roots (3+ are counters).
+  // Pass 2: tree walks over every tree the meta slots root.
   Walker walker(pager.get(), &report);
-  const PageId entry_root = pager->GetMetaSlot(0);
-  const PageId docid_root = pager->GetMetaSlot(1);
-  const PageId doc_store_root = pager->GetMetaSlot(2);
-  if (entry_root != kInvalidPageId) walker.WalkTree("entry", entry_root);
-  if (docid_root != kInvalidPageId) {
-    report.doc_entries = walker.WalkTree("docid", docid_root);
-  }
-  if (doc_store_root != kInvalidPageId) {
-    walker.WalkTree("doc-store", doc_store_root);
+  constexpr const char* kTreeNames[kNumTreeSlots] = {"entry", "docid",
+                                                     "doc-store", "meta"};
+  for (int slot = 0; slot < kNumTreeSlots; ++slot) {
+    const PageId root = pager->GetMetaSlot(slot);
+    if (root == kInvalidPageId) continue;
+    const uint64_t entries = walker.WalkTree(kTreeNames[slot], root);
+    if (slot == kDocIdTreeSlot) report.doc_entries = entries;
   }
 
   // Pass 3: freelist walk — range, cycles, overlap with reachable pages.
@@ -216,17 +209,6 @@ Result<FsckReport> RunFsck(const std::string& dir,
     }
   }
 
-  // Pass 5: sidecar files.
-  auto symtab = SymbolTable::Load(SymbolsPath(dir));
-  if (!symtab.ok()) {
-    report.problems.push_back("symbol table: " + symtab.status().message());
-  }
-  if (manifest.allocator == VistOptions::AllocatorKind::kStatistical) {
-    auto stats = SchemaStats::Load(StatsPath(dir));
-    if (!stats.ok()) {
-      report.problems.push_back("stats: " + stats.status().message());
-    }
-  }
   return report;
 }
 

@@ -2,15 +2,16 @@
 // without going through the query engine:
 //
 //   * the pager file header and every page checksum,
-//   * both B+ trees (and the document store, when present): structural
-//     page validity, in-page and cross-page key order against the fence
-//     keys, uniform leaf depth, consistent leaf sibling links, and no page
-//     reachable twice,
+//   * every B+ tree — entry, DocId, meta and (when present) the document
+//     store: structural page validity, in-page and cross-page key order
+//     against the fence keys, uniform leaf depth, and no page reachable
+//     twice,
 //   * the freelist: no out-of-range links, no cycles, no page that is both
 //     free and reachable from a tree,
-//   * no leaked pages (every page is either reachable or free),
-//   * the symbol table, manifest, and (for statistical indexes) the stats
-//     file parse cleanly.
+//   * no leaked pages (every page is either reachable or free).
+//
+// The meta tree's records (options, names, stats) are decoded by
+// VistIndex::Open, which reports a malformed one as Corruption.
 //
 // Opening the page file performs the same journal rollback a normal open
 // would, so an index left behind by a crash is checked in its recovered
@@ -50,8 +51,7 @@ struct FsckReport {
 };
 
 /// Checks the index in `dir`. The returned report lists the damage; a
-/// non-OK status means the directory could not be examined at all (e.g.
-/// missing manifest).
+/// non-OK status (NotFound) means there is no page file to examine.
 Result<FsckReport> RunFsck(const std::string& dir,
                            const FsckOptions& options = {});
 

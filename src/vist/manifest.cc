@@ -1,83 +1,48 @@
 #include "vist/manifest.h"
 
-#include <cstdio>
-
 #include "common/coding.h"
-#include "common/env.h"
 
 namespace vist {
 namespace {
 
-constexpr uint64_t kManifestVersion = 1;
+constexpr uint64_t kManifestVersion = 2;
 
 }  // namespace
 
-std::string ManifestPath(const std::string& dir) {
-  return dir + "/manifest.bin";
-}
-std::string SymbolsPath(const std::string& dir) {
-  return dir + "/symbols.tbl";
-}
-std::string StatsPath(const std::string& dir) { return dir + "/stats.bin"; }
 std::string PageFilePath(const std::string& dir) {
   return dir + "/index.db";
 }
 
-Status SaveManifest(const std::string& dir, const VistOptions& options) {
-  std::string blob;
-  PutVarint64(&blob, kManifestVersion);
-  PutVarint64(&blob, options.page_size);
-  PutVarint64(&blob,
-              options.allocator == VistOptions::AllocatorKind::kStatistical);
-  PutVarint64(&blob, options.lambda);
-  PutVarint64(&blob, options.reserve_divisor);
-  PutVarint64(&blob, options.other_divisor);
-  PutVarint64(&blob, options.store_documents);
-  PutVarint64(&blob, options.sequence.include_text);
-  PutVarint64(&blob, options.sequence.include_attribute_values);
-
-  // Write-to-temp + fsync + rename keeps the old manifest intact if this
-  // write is interrupted.
-  Env* env = Env::Default();
-  const std::string path = ManifestPath(dir);
-  const std::string tmp = path + ".tmp";
-  Env::OpenOptions open_options;
-  open_options.truncate = true;
-  VIST_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
-                        env->Open(tmp, open_options));
-  VIST_RETURN_IF_ERROR(file->WriteAt(0, blob.data(), blob.size()));
-  VIST_RETURN_IF_ERROR(file->Sync());
-  file.reset();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename manifest into place in " + dir);
-  }
-  return env->SyncDir(dir);
+std::string NameKey(Symbol symbol) {
+  std::string key = kNamePrefix;
+  PutFixed64BE(&key, symbol);
+  return key;
 }
 
-Status LoadManifest(const std::string& dir, VistOptions* options) {
-  Env* env = Env::Default();
-  Env::OpenOptions ro;
-  ro.create = false;
-  ro.read_only = true;
-  auto file = env->Open(ManifestPath(dir), ro);
-  if (!file.ok()) return Status::IOError("cannot read manifest in " + dir);
-  VIST_ASSIGN_OR_RETURN(uint64_t size, (*file)->Size());
-  std::string blob(size, '\0');
-  size_t got = 0;
-  VIST_RETURN_IF_ERROR((*file)->ReadAt(0, blob.data(), blob.size(), &got));
-  blob.resize(got);
-  Slice input(blob);
-  uint64_t version = 0, page_size = 0, statistical = 0, lambda = 0;
+std::string EncodeManifest(const VistOptions& options) {
+  std::string record;
+  PutVarint64(&record, kManifestVersion);
+  PutVarint64(&record,
+              options.allocator == VistOptions::AllocatorKind::kStatistical);
+  PutVarint64(&record, options.lambda);
+  PutVarint64(&record, options.reserve_divisor);
+  PutVarint64(&record, options.other_divisor);
+  PutVarint64(&record, options.store_documents);
+  PutVarint64(&record, options.sequence.include_text);
+  PutVarint64(&record, options.sequence.include_attribute_values);
+  return record;
+}
+
+Status DecodeManifest(Slice record, VistOptions* options) {
+  uint64_t version = 0, statistical = 0, lambda = 0;
   uint64_t reserve = 0, other = 0, store = 0, text = 0, attrs = 0;
-  if (!GetVarint64(&input, &version) || version != kManifestVersion ||
-      !GetVarint64(&input, &page_size) || !GetVarint64(&input, &statistical) ||
-      !GetVarint64(&input, &lambda) || !GetVarint64(&input, &reserve) ||
-      !GetVarint64(&input, &other) || !GetVarint64(&input, &store) ||
-      !GetVarint64(&input, &text) || !GetVarint64(&input, &attrs) ||
-      !input.empty()) {
-    return Status::Corruption("bad manifest in " + dir);
+  if (!GetVarint64(&record, &version) || version != kManifestVersion ||
+      !GetVarint64(&record, &statistical) || !GetVarint64(&record, &lambda) ||
+      !GetVarint64(&record, &reserve) || !GetVarint64(&record, &other) ||
+      !GetVarint64(&record, &store) || !GetVarint64(&record, &text) ||
+      !GetVarint64(&record, &attrs) || !record.empty()) {
+    return Status::Corruption("malformed options record");
   }
-  options->page_size = static_cast<uint32_t>(page_size);
   options->allocator = statistical != 0
                            ? VistOptions::AllocatorKind::kStatistical
                            : VistOptions::AllocatorKind::kUniform;

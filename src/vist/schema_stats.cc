@@ -1,8 +1,6 @@
 #include "vist/schema_stats.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "common/coding.h"
 
@@ -46,7 +44,7 @@ const SchemaStats::Successors* SchemaStats::Lookup(Symbol context) const {
   return it == by_context_.end() ? nullptr : &it->second;
 }
 
-Status SchemaStats::Save(const std::string& path) const {
+std::string SchemaStats::Encode() const {
   std::string blob;
   PutVarint64(&blob, num_samples_);
   PutVarint64(&blob, by_context_.size());
@@ -60,32 +58,21 @@ Status SchemaStats::Save(const std::string& path) const {
       PutVarint64(&blob, count);
     }
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot write " + path);
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return blob;
 }
 
-Result<SchemaStats> SchemaStats::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string blob = buffer.str();
-  Slice input(blob);
-
+Result<SchemaStats> SchemaStats::Decode(Slice input) {
   SchemaStats stats;
   uint64_t contexts = 0;
   if (!GetVarint64(&input, &stats.num_samples_) ||
       !GetVarint64(&input, &contexts)) {
-    return Status::Corruption("bad schema stats header in " + path);
+    return Status::Corruption("bad schema stats header");
   }
   for (uint64_t i = 0; i < contexts; ++i) {
     uint64_t context = 0, total = 0, n = 0;
     if (!GetVarint64(&input, &context) || !GetVarint64(&input, &total) ||
         !GetVarint64(&input, &n)) {
-      return Status::Corruption("truncated schema stats " + path);
+      return Status::Corruption("truncated schema stats");
     }
     Successors successors;
     successors.total = total;
@@ -93,7 +80,7 @@ Result<SchemaStats> SchemaStats::Load(const std::string& path) {
       uint64_t symbol = 0, depth = 0, count = 0;
       if (!GetVarint64(&input, &symbol) || !GetVarint64(&input, &depth) ||
           !GetVarint64(&input, &count)) {
-        return Status::Corruption("truncated schema stats " + path);
+        return Status::Corruption("truncated schema stats");
       }
       successors.counts.push_back(
           {{symbol, static_cast<uint32_t>(depth)}, count});
@@ -101,7 +88,7 @@ Result<SchemaStats> SchemaStats::Load(const std::string& path) {
     stats.by_context_.emplace(context, std::move(successors));
   }
   if (!input.empty()) {
-    return Status::Corruption("trailing bytes in schema stats " + path);
+    return Status::Corruption("trailing bytes in schema stats");
   }
   return stats;
 }

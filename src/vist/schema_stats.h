@@ -11,7 +11,8 @@
 //
 // Stats must be frozen with the index: allocation slots are a pure function
 // of them, and moving slots after entries exist would corrupt nesting. The
-// index persists the stats file at creation time and reloads it on open.
+// index stores the encoded stats at creation time and decodes them on
+// open.
 
 #ifndef VIST_VIST_SCHEMA_STATS_H_
 #define VIST_VIST_SCHEMA_STATS_H_
@@ -65,8 +66,10 @@ class SchemaStats {
 
   uint64_t num_samples() const { return num_samples_; }
 
-  Status Save(const std::string& path) const;
-  static Result<SchemaStats> Load(const std::string& path);
+  /// A self-contained byte encoding; Decode reports Corruption for any
+  /// blob Encode did not produce.
+  std::string Encode() const;
+  static Result<SchemaStats> Decode(Slice blob);
 
  private:
   std::map<Symbol, Successors> by_context_;

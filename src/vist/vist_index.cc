@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/coding.h"
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "query/path_parser.h"
@@ -17,14 +16,6 @@
 
 namespace vist {
 namespace {
-
-constexpr int kEntryTreeSlot = 0;
-constexpr int kDocIdTreeSlot = 1;
-constexpr int kDocStoreSlot = 2;
-// Scalar slots, versioned with the tree roots so a snapshot's scalars match
-// its trees (see header).
-constexpr int kMaxDepthSlot = 3;
-constexpr int kUnderflowSlot = 4;
 
 // Metric reference: docs/OBSERVABILITY.md (vist section).
 struct VistMetrics {
@@ -45,12 +36,64 @@ struct VistMetrics {
   }
 };
 
-// Document-store keys: doc_id (8B BE) ‖ chunk index (4B BE).
-std::string DocChunkKey(uint64_t doc_id, uint32_t chunk) {
-  std::string key;
-  PutFixed64BE(&key, doc_id);
+// A value that may outgrow one B+ tree cell — a stored document (under
+// its doc id, 8B BE) or the encoded SchemaStats (under kStatsPrefix) — is
+// split into chunks keyed prefix ‖ chunk index (4B BE).
+std::string ChunkKey(const std::string& prefix, uint32_t chunk) {
+  std::string key = prefix;
   PutFixed32BE(&key, chunk);
   return key;
+}
+
+std::string DocKey(uint64_t doc_id) {
+  std::string key;
+  PutFixed64BE(&key, doc_id);
+  return key;
+}
+
+Status PutChunked(BTree* tree, uint32_t page_size, const std::string& prefix,
+                  const std::string& value) {
+  const size_t chunk_size =
+      NodePage::MaxCellSize(page_size - kPageTrailerSize) - 64;
+  uint32_t chunk = 0;
+  size_t offset = 0;
+  do {
+    const size_t len = std::min(chunk_size, value.size() - offset);
+    VIST_RETURN_IF_ERROR(tree->Put(ChunkKey(prefix, chunk),
+                                   Slice(value.data() + offset, len)));
+    offset += len;
+    ++chunk;
+  } while (offset < value.size());
+  return Status::OK();
+}
+
+// NotFound when nothing is stored under `prefix`.
+Status DeleteChunked(BTree* tree, const std::string& prefix) {
+  uint32_t chunk = 0;
+  while (true) {
+    Status s = tree->Delete(ChunkKey(prefix, chunk));
+    if (s.IsNotFound()) break;
+    VIST_RETURN_IF_ERROR(s);
+    ++chunk;
+  }
+  return chunk == 0 ? Status::NotFound("nothing stored under this key")
+                    : Status::OK();
+}
+
+// NotFound when nothing is stored under `prefix`.
+Result<std::string> GetChunked(const BTreeView& tree,
+                               const std::string& prefix) {
+  std::string value;
+  uint32_t chunk = 0;
+  while (true) {
+    auto piece = tree.Get(ChunkKey(prefix, chunk));
+    if (piece.status().IsNotFound()) break;
+    VIST_RETURN_IF_ERROR(piece.status());
+    value += *piece;
+    ++chunk;
+  }
+  if (chunk == 0) return Status::NotFound("nothing stored under this key");
+  return value;
 }
 
 // The immediate children of node `parent_n` with D-key `dkey` are the
@@ -93,9 +136,8 @@ class VistQueryPlan : public QueryPlan {
 
 }  // namespace
 
-VistIndex::VistIndex(std::string dir, VistOptions options)
-    : dir_(std::move(dir)),
-      options_(options),
+VistIndex::VistIndex(VistOptions options)
+    : options_(options),
       root_key_(EncodeEntryKey(EncodeDKey(kInvalidSymbol, {}), 0, 0)) {}
 
 VistIndex::~VistIndex() {
@@ -116,9 +158,12 @@ void VistIndex::SimulateCrashForTesting() {
   IgnoreError(crashed, "crashing installs nothing, so the body cannot fail");
 }
 
-Status VistIndex::InitTrees(bool create) {
-  VIST_ASSIGN_OR_RETURN(store_,
-                        VersionedStore::Open(PageFilePath(dir_), options_));
+Status VistIndex::InitStore(const std::string& dir, bool create) {
+  VIST_ASSIGN_OR_RETURN(
+      store_, VersionedStore::Open(PageFilePath(dir), options_, create));
+  options_.page_size = store_->page_size();
+  // Creates or opens the data trees and makes the allocator; runs once
+  // options_ holds the persisted values.
   auto trees = [&]() -> Status {
     auto tree = [&](int slot) {
       return create ? store_->CreateTree(slot) : store_->OpenTree(slot);
@@ -128,67 +173,119 @@ Status VistIndex::InitTrees(bool create) {
     if (options_.store_documents) {
       VIST_ASSIGN_OR_RETURN(doc_store_, tree(kDocStoreSlot));
     }
+    if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
+      allocator_ = std::make_unique<StatisticalScopeAllocator>(
+          &stats_, options_.lambda, options_.reserve_divisor,
+          options_.other_divisor);
+    } else {
+      allocator_ = std::make_unique<UniformScopeAllocator>(
+          options_.lambda, options_.reserve_divisor);
+    }
     return Status::OK();
   };
-  // Creating the trees allocates their root pages and points the meta
-  // slots at them — one version-install transaction like any mutation.
-  VIST_RETURN_IF_ERROR(create ? store_->Write(/*epoch=*/0, trees) : trees());
-  if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
-    allocator_ = std::make_unique<StatisticalScopeAllocator>(
-        &stats_, options_.lambda, options_.reserve_divisor,
-        options_.other_divisor);
-  } else {
-    allocator_ = std::make_unique<UniformScopeAllocator>(
-        options_.lambda, options_.reserve_divisor);
+  if (create) {
+    // One transaction writes the whole empty index: the meta tree's
+    // records, the trees, and the virtual root, which owns the whole label
+    // space (label 0 unused).
+    return store_->Write(/*epoch=*/0, [&]() -> Status {
+      VIST_ASSIGN_OR_RETURN(meta_tree_, store_->CreateTree(kMetaTreeSlot));
+      VIST_RETURN_IF_ERROR(
+          meta_tree_->Put(kOptionsKey, EncodeManifest(options_)));
+      if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
+        VIST_RETURN_IF_ERROR(PutChunked(meta_tree_, options_.page_size,
+                                        kStatsPrefix, stats_.Encode()));
+      }
+      VIST_RETURN_IF_ERROR(trees());
+      NodeRecord root;
+      root.n = 0;
+      root.size = kMaxScope;
+      allocator_->InitRecord(&root);
+      return WriteRecord(root_key_, root);
+    });
   }
+
+  // Without a meta tree no Create ever committed here. Past this check a
+  // missing tree or record is damage, not an absent index.
+  if (store_->WorkingSlot(kMetaTreeSlot) == kInvalidPageId) {
+    return Status::NotFound(PageFilePath(dir) + " holds no committed index");
+  }
+  Status loaded = [&]() -> Status {
+    VIST_ASSIGN_OR_RETURN(meta_tree_, store_->OpenTree(kMetaTreeSlot));
+    const BTreeView meta = meta_tree_->ViewAt(*store_->Pin());
+    VIST_ASSIGN_OR_RETURN(std::string record, meta.Get(kOptionsKey));
+    VIST_RETURN_IF_ERROR(DecodeManifest(record, &options_));
+    auto it = meta.NewIterator();
+    for (it->Seek(kNamePrefix);
+         it->Valid() && it->key().StartsWith(kNamePrefix); it->Next()) {
+      const Symbol symbol = symtab_.size() + 1;
+      if (it->key() != Slice(NameKey(symbol))) {
+        return Status::Corruption("name record out of sequence");
+      }
+      VIST_RETURN_IF_ERROR(symtab_.Restore(symbol, it->value().view()));
+    }
+    VIST_RETURN_IF_ERROR(it->status());
+    if (symtab_.size() != store_->WorkingSlot(kNamesSlot)) {
+      return Status::Corruption("name records disagree with the names count");
+    }
+    if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
+      VIST_ASSIGN_OR_RETURN(std::string blob, GetChunked(meta, kStatsPrefix));
+      VIST_ASSIGN_OR_RETURN(stats_, SchemaStats::Decode(blob));
+    }
+    return trees();
+  }();
+  if (loaded.IsNotFound()) {
+    return Status::Corruption(PageFilePath(dir) + ": " + loaded.message());
+  }
+  return loaded;
+}
+
+Status VistIndex::PersistNewNames() {
+  const uint64_t stored = store_->WorkingSlot(kNamesSlot);
+  const uint64_t interned = symtab_.size();
+  if (stored == interned) return Status::OK();
+  for (Symbol symbol = stored + 1; symbol <= interned; ++symbol) {
+    VIST_ASSIGN_OR_RETURN(std::string name, symtab_.Name(symbol));
+    VIST_RETURN_IF_ERROR(meta_tree_->Put(NameKey(symbol), name));
+  }
+  store_->SetWorkingSlot(kNamesSlot, interned);
   return Status::OK();
 }
 
 Result<std::unique_ptr<VistIndex>> VistIndex::Create(
     const std::string& dir, const VistOptions& options) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Status::IOError("cannot create directory " + dir);
-  if (std::filesystem::exists(ManifestPath(dir))) {
-    return Status::InvalidArgument(dir + " already contains an index");
-  }
   if (options.allocator == VistOptions::AllocatorKind::kStatistical &&
       options.stats == nullptr) {
     return Status::InvalidArgument(
         "statistical allocator requires VistOptions::stats");
   }
-  VIST_RETURN_IF_ERROR(SaveManifest(dir, options));
-
-  std::unique_ptr<VistIndex> index(new VistIndex(dir, options));
-  if (options.stats != nullptr) {
-    index->stats_ = *options.stats;
-    VIST_RETURN_IF_ERROR(index->stats_.Save(StatsPath(dir)));
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return Status::IOError("cannot create directory " + dir);
+  // Refuse only a committed index. What a crash inside an earlier Create
+  // leaves — no page file, an empty one, or one whose journal rolls back to
+  // no meta tree — holds none, and is replaced.
+  auto existing = Open(dir, options);
+  if (existing.ok()) {
+    return Status::InvalidArgument(dir + " already contains an index");
   }
-  VIST_RETURN_IF_ERROR(index->InitTrees(/*create=*/true));
+  if (!existing.status().IsNotFound()) return existing.status();
+  Env* env = options.env != nullptr ? options.env : Env::Default();
+  VIST_ASSIGN_OR_RETURN(bool stale, env->FileExists(PageFilePath(dir)));
+  if (stale) VIST_RETURN_IF_ERROR(env->DeleteFile(PageFilePath(dir)));
 
-  // The virtual root: owns the whole label space, label 0 unused. The
-  // index is not shared yet, so this needs no writer lock.
-  NodeRecord root;
-  root.n = 0;
-  root.size = kMaxScope;
-  index->allocator_->InitRecord(&root);
-  VIST_RETURN_IF_ERROR(index->store_->Write(/*epoch=*/0, [&] {
-    return index->WriteRecord(index->root_key_, root);
-  }));
+  std::unique_ptr<VistIndex> index(new VistIndex(options));
+  if (options.allocator == VistOptions::AllocatorKind::kStatistical) {
+    index->stats_ = *options.stats;
+  }
+  VIST_RETURN_IF_ERROR(index->InitStore(dir, /*create=*/true));
   VIST_RETURN_IF_ERROR(index->Flush());
   return index;
 }
 
 Result<std::unique_ptr<VistIndex>> VistIndex::Open(const std::string& dir,
                                                    const VistOptions& options) {
-  VistOptions merged = options;
-  VIST_RETURN_IF_ERROR(LoadManifest(dir, &merged));
-  std::unique_ptr<VistIndex> index(new VistIndex(dir, merged));
-  VIST_ASSIGN_OR_RETURN(index->symtab_, SymbolTable::Load(SymbolsPath(dir)));
-  if (merged.allocator == VistOptions::AllocatorKind::kStatistical) {
-    VIST_ASSIGN_OR_RETURN(index->stats_, SchemaStats::Load(StatsPath(dir)));
-  }
-  VIST_RETURN_IF_ERROR(index->InitTrees(/*create=*/false));
+  std::unique_ptr<VistIndex> index(new VistIndex(options));
+  VIST_RETURN_IF_ERROR(index->InitStore(dir, /*create=*/false));
   return index;
 }
 
@@ -274,6 +371,7 @@ Status VistIndex::InsertSequenceImpl(const Sequence& sequence,
   // Commit: bump refcounts along the final path and persist every record
   // on it. Nothing was written before this point, so allocation failures
   // above leave the index untouched.
+  VIST_RETURN_IF_ERROR(PersistNewNames());
   for (PathEntry& entry : path) {
     ++entry.record.refcount;
     VIST_RETURN_IF_ERROR(WriteRecord(entry.key, entry.record));
@@ -285,11 +383,11 @@ Status VistIndex::InsertSequenceImpl(const Sequence& sequence,
 Status VistIndex::WalkInsertPath(const Sequence& sequence,
                                  const ChildLookup& find_child,
                                  std::vector<PathEntry>* path) {
-  uint64_t depth = max_depth();
+  uint64_t depth = store_->WorkingSlot(kMaxDepthSlot);
   for (const SequenceElement& elem : sequence) {
     depth = std::max<uint64_t>(depth, elem.prefix.size());
   }
-  set_max_depth(depth);
+  store_->SetWorkingSlot(kMaxDepthSlot, depth);
 
   // path[i] covers sequence element i-1 (path[0] is the virtual root).
   for (size_t i = 0; i < sequence.size(); ++i) {
@@ -335,7 +433,8 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
     }
     const uint64_t run_lo = ancestor.seq_cursor - run_len;
     ancestor.seq_cursor = run_lo;
-    set_underflow_runs(underflow_runs() + 1);
+    store_->SetWorkingSlot(kUnderflowSlot,
+                           store_->WorkingSlot(kUnderflowSlot) + 1);
     VistMetrics::Get().underflow_runs.Increment();
 
     // The doc's path now diverges at the ancestor: the abandoned tail
@@ -407,6 +506,7 @@ Status VistIndex::BulkLoadSequencesImpl(
 
   // Write everything in key order: entries (the virtual root sorts
   // first), then doc ids.
+  VIST_RETURN_IF_ERROR(PersistNewNames());
   for (const auto& [key, record] : staged) {
     VIST_RETURN_IF_ERROR(WriteRecord(key, record));
   }
@@ -426,7 +526,8 @@ Status VistIndex::InsertDocument(const xml::Node& root, uint64_t doc_id) {
     return store_->Write(epoch, [&]() -> Status {
       VIST_RETURN_IF_ERROR(InsertSequenceImpl(sequence, doc_id));
       if (!options_.store_documents) return Status::OK();
-      return StoreDocumentText(doc_id, xml::WriteNode(root));
+      return PutChunked(doc_store_, options_.page_size, DocKey(doc_id),
+                        xml::WriteNode(root));
     });
   });
 }
@@ -500,7 +601,7 @@ Status VistIndex::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
     return store_->Write(epoch, [&]() -> Status {
       VIST_RETURN_IF_ERROR(DeleteSequenceImpl(sequence, doc_id));
       if (!options_.store_documents) return Status::OK();
-      return DeleteDocumentText(doc_id);
+      return DeleteChunked(doc_store_, DocKey(doc_id));
     });
   });
 }
@@ -597,33 +698,6 @@ Result<std::vector<uint64_t>> VistIndex::QueryWithPlan(
   return verified;
 }
 
-Status VistIndex::StoreDocumentText(uint64_t doc_id, const std::string& text) {
-  const size_t chunk_size =
-      NodePage::MaxCellSize(options_.page_size - kPageTrailerSize) - 64;
-  uint32_t chunk = 0;
-  size_t offset = 0;
-  do {
-    const size_t len = std::min(chunk_size, text.size() - offset);
-    VIST_RETURN_IF_ERROR(doc_store_->Put(DocChunkKey(doc_id, chunk),
-                                         Slice(text.data() + offset, len)));
-    offset += len;
-    ++chunk;
-  } while (offset < text.size());
-  return Status::OK();
-}
-
-Status VistIndex::DeleteDocumentText(uint64_t doc_id) {
-  uint32_t chunk = 0;
-  while (true) {
-    Status s = doc_store_->Delete(DocChunkKey(doc_id, chunk));
-    if (s.IsNotFound()) break;
-    VIST_RETURN_IF_ERROR(s);
-    ++chunk;
-  }
-  return chunk == 0 ? Status::NotFound("document text not stored")
-                    : Status::OK();
-}
-
 Result<std::string> VistIndex::GetDocument(uint64_t doc_id) {
   std::shared_ptr<const VistSnapshot> snap = PinSnapshot();
   return GetDocumentImpl(*snap, doc_id);
@@ -634,17 +708,7 @@ Result<std::string> VistIndex::GetDocumentImpl(const VistSnapshot& snap,
   if (!options_.store_documents) {
     return Status::InvalidArgument("index does not store documents");
   }
-  std::string text;
-  uint32_t chunk = 0;
-  while (true) {
-    auto piece = snap.doc_store_.Get(DocChunkKey(doc_id, chunk));
-    if (piece.status().IsNotFound()) break;
-    VIST_RETURN_IF_ERROR(piece.status());
-    text += *piece;
-    ++chunk;
-  }
-  if (chunk == 0) return Status::NotFound("no stored document with this id");
-  return text;
+  return GetChunked(snap.doc_store_, DocKey(doc_id));
 }
 
 Result<IndexStats> VistIndex::Stats() {
@@ -783,11 +847,7 @@ Result<VistIndex::IntegrityReport> VistIndex::CheckIntegrity() {
 Status VistIndex::Flush() {
   // Flush publishes no new version, but it is a public mutating entry
   // point, so the uniform epoch contract still applies.
-  return Mutate([&](uint64_t) -> Status {
-    // The symbols reach disk before the page file that references them.
-    VIST_RETURN_IF_ERROR(symtab_.Save(SymbolsPath(dir_)));
-    return store_->Flush();
-  });
+  return Mutate([&](uint64_t) { return store_->Flush(); });
 }
 
 }  // namespace vist

@@ -1,12 +1,12 @@
 // VistIndex: the paper's primary contribution — a dynamic XML index built
 // entirely on B+ trees (§3.4).
 //
-// On disk, an index is a directory:
-//   index.db     one page file holding the combined D-/S-Ancestor B+ tree,
-//                the DocId B+ tree, and (optionally) the document store
-//   symbols.tbl  the interned element/attribute names
-//   stats.bin    frozen schema statistics (statistical allocator only)
-//   manifest.bin the creation options that must never change after Create
+// On disk, an index is a directory holding one page file, index.db (plus
+// index.db.journal while a batch is open). Its B+ trees are the combined
+// D-/S-Ancestor tree, the DocId tree, the optional document store, and a
+// meta tree with the creation options, the interned element/attribute
+// names and, for the statistical allocator, the frozen schema statistics
+// (layout: vist/manifest.h).
 //
 // Usage:
 //   auto index = VistIndex::Create(dir, options);
@@ -52,8 +52,9 @@
 
 namespace vist {
 
-/// index.db's settings come from StoreOptions: page_size (persisted in the
-/// manifest), buffer_pool_pages, durability and env (runtime only).
+/// index.db's settings come from StoreOptions: page_size (recorded in the
+/// page file's header), buffer_pool_pages, durability and env (runtime
+/// only).
 struct VistOptions : StoreOptions {
   enum class AllocatorKind {
     kUniform,      // §3.4.1 "without clues": λ-geometric (Eq. 5-6)
@@ -76,7 +77,7 @@ struct VistOptions : StoreOptions {
   SequenceOptions sequence;
 
   /// Sample statistics for the statistical allocator; borrowed during
-  /// Create() (persisted to stats.bin, reloaded on Open).
+  /// Create() (stored in index.db, reloaded on Open).
   const SchemaStats* stats = nullptr;
 };
 
@@ -102,13 +103,16 @@ class VistSnapshot : public Snapshot {
 
 class VistIndex : public QueryableIndex {
  public:
-  /// Creates a fresh index in `dir` (created if missing; must not already
-  /// contain an index).
+  /// Creates a fresh index in `dir` (created if missing). Refuses a
+  /// directory that already holds a committed index; whatever else a
+  /// crash inside an earlier Create left there is replaced.
   static Result<std::unique_ptr<VistIndex>> Create(const std::string& dir,
                                                    const VistOptions& options);
 
-  /// Opens an existing index. Runtime fields of `options` (buffer pool) are
-  /// honored; persisted fields come from the manifest.
+  /// Opens an existing index; creates no file. Runtime fields of `options`
+  /// (buffer pool, durability, env) are honored; persisted fields, page
+  /// size included, come from index.db. NotFound when `dir` holds no
+  /// committed index.
   static Result<std::unique_ptr<VistIndex>> Open(const std::string& dir,
                                                  const VistOptions& options);
 
@@ -189,9 +193,9 @@ class VistIndex : public QueryableIndex {
   };
   Result<IntegrityReport> CheckIntegrity();
 
-  /// Persists the symbol table and commits the page file's current batch.
-  /// All mutations between two Flush() calls form one atomic unit: after
-  /// a crash, the index reopens in the state of the last Flush.
+  /// Commits the page file's current batch. All mutations between two
+  /// Flush() calls form one atomic unit: after a crash, the index reopens
+  /// in the state of the last Flush.
   Status Flush() override;
 
   /// Test hook: abandons all unflushed state as a crashed process would.
@@ -199,12 +203,13 @@ class VistIndex : public QueryableIndex {
   void SimulateCrashForTesting();
 
  private:
-  VistIndex(std::string dir, VistOptions options);
+  explicit VistIndex(VistOptions options);
 
   /// Writer-side bodies of the mutating entry points, for composition:
   /// e.g. InsertDocument = Mutate + VersionedStore::Write around
-  /// InsertSequenceImpl + StoreDocumentText. Everything writer-side below
-  /// runs only inside such a transaction, under the writer lock.
+  /// InsertSequenceImpl + the document text's chunks. Everything
+  /// writer-side below runs only inside such a transaction, under the
+  /// writer lock.
   Status InsertSequenceImpl(const Sequence& sequence, uint64_t doc_id);
   Status DeleteSequenceImpl(const Sequence& sequence, uint64_t doc_id);
   Status BulkLoadSequencesImpl(
@@ -221,8 +226,16 @@ class VistIndex : public QueryableIndex {
   /// Pins the current version and builds its tree views (never fails).
   std::shared_ptr<const VistSnapshot> PinSnapshot() const;
 
-  /// Opens index.db and creates (`create`) or opens its trees.
-  Status InitTrees(bool create);
+  /// Opens index.db in `dir`. With `create`, builds a new one in a single
+  /// write transaction: the trees, the virtual root, the options record and
+  /// the stats. Otherwise rebuilds options, names and stats from the meta
+  /// tree.
+  Status InitStore(const std::string& dir, bool create);
+
+  /// Writer-side: stores the names interned since the last committed
+  /// write transaction (kNamesSlot counts the stored ones), so a name
+  /// reaches index.db with the first entry that uses it.
+  Status PersistNewNames();
 
   /// One node on a document's root-to-leaf path: a copy of its record,
   /// written back by whoever commits the path.
@@ -270,18 +283,6 @@ class VistIndex : public QueryableIndex {
   Result<bool> TryDelete(const Sequence& sequence, size_t i, uint64_t doc_id,
                          std::vector<PathEntry>* path);
 
-  Status StoreDocumentText(uint64_t doc_id, const std::string& text);
-  Status DeleteDocumentText(uint64_t doc_id);
-
-  // The engine scalars live in version meta slots (3 = max_depth,
-  // 4 = underflow_runs): writers see the transaction's working values
-  // below; readers take them from their pinned Version's slots.
-  uint64_t max_depth() const { return store_->WorkingSlot(3); }
-  void set_max_depth(uint64_t d) { store_->SetWorkingSlot(3, d); }
-  uint64_t underflow_runs() const { return store_->WorkingSlot(4); }
-  void set_underflow_runs(uint64_t c) { store_->SetWorkingSlot(4, c); }
-
-  const std::string dir_;
   VistOptions options_;
   SymbolTable symtab_;
   SchemaStats stats_;
@@ -290,6 +291,7 @@ class VistIndex : public QueryableIndex {
   BTree* entry_tree_ = nullptr;
   BTree* docid_tree_ = nullptr;
   BTree* doc_store_ = nullptr;  // null unless store_documents
+  BTree* meta_tree_ = nullptr;
   std::unique_ptr<ScopeAllocator> allocator_;
   std::string root_key_;
 };

@@ -4,6 +4,8 @@
 //
 //   * a query pinned to an explicit snapshot keeps returning that
 //     snapshot's answer across later inserts and deletes;
+//   * QueryOptions own their pin: a copy of them keeps the snapshot
+//     readable after every other handle to it is gone;
 //   * a snapshot the index did not issue — from another engine, or from
 //     another instance of the same engine — is rejected with
 //     InvalidArgument instead of being read.
@@ -148,7 +150,7 @@ TEST_P(SnapshotContractTest, ExplicitSnapshotKeepsItsPinnedAnswer) {
   auto snap = rig->index->GetSnapshot();
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   QueryOptions pinned;
-  pinned.snapshot = snap->get();
+  pinned.snapshot = *snap;
   const std::vector<uint64_t> all = {1, 2, 3};
   auto before = rig->index->Query("/doc/leaf", pinned);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
@@ -171,6 +173,45 @@ TEST_P(SnapshotContractTest, ExplicitSnapshotKeepsItsPinnedAnswer) {
   EXPECT_LT((*snap)->epoch(), rig->index->epoch());
 }
 
+TEST_P(SnapshotContractTest, QueryOptionsCopyIsTheOnlyPinNeeded) {
+  auto rig = Rig::Create(dir_ + "/a", GetParam());
+  ASSERT_NE(rig, nullptr);
+  std::vector<xml::Document> docs;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    docs.push_back(Doc(id));
+    ASSERT_TRUE(rig->Apply(*docs.back().root(), id, /*insert=*/true).ok());
+  }
+  QueryOptions copy;
+  {
+    auto snap = rig->index->GetSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    QueryOptions pinned;
+    pinned.snapshot = *snap;
+    copy = pinned;
+  }  // the caller's handle and the original options are gone
+
+  // Churn: every flush returns the pages no pin reaches to the freelist,
+  // and the next writes reuse them.
+  for (uint64_t id = 4; id <= 12; ++id) {
+    docs.push_back(Doc(id));
+    ASSERT_TRUE(rig->Apply(*docs.back().root(), id, /*insert=*/true).ok());
+    ASSERT_TRUE(
+        rig->Apply(*docs[id - 4].root(), id - 3, /*insert=*/false).ok());
+    ASSERT_TRUE(rig->index->Flush().ok());
+  }
+  EXPECT_EQ(copy.snapshot.use_count(), 1) << "another owner holds the pin";
+
+  auto current = rig->index->Query("/doc/leaf");
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(*current, (std::vector<uint64_t>{10, 11, 12}));
+  auto pinned = rig->index->Query("/doc/leaf", copy);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(*pinned, (std::vector<uint64_t>{1, 2, 3}));
+  auto value = rig->index->Query("/doc/item[text()='v2']", copy);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, (std::vector<uint64_t>{2}));
+}
+
 TEST_P(SnapshotContractTest, ForeignSnapshotIsRejected) {
   auto rig = Rig::Create(dir_ + "/a", GetParam());
   auto twin = Rig::Create(dir_ + "/b", GetParam());
@@ -184,7 +225,8 @@ TEST_P(SnapshotContractTest, ForeignSnapshotIsRejected) {
   ASSERT_TRUE(same_kind.ok());
   std::shared_ptr<const Snapshot> other_engine = rig->OtherEngineSnapshot();
   ASSERT_NE(other_engine, nullptr);
-  for (const Snapshot* foreign : {same_kind->get(), other_engine.get()}) {
+  for (const std::shared_ptr<const Snapshot>& foreign :
+       {*same_kind, other_engine}) {
     QueryOptions options;
     options.snapshot = foreign;
     auto result = rig->index->Query("/doc/leaf", options);
@@ -196,7 +238,7 @@ TEST_P(SnapshotContractTest, ForeignSnapshotIsRejected) {
   auto own = rig->index->GetSnapshot();
   ASSERT_TRUE(own.ok());
   QueryOptions options;
-  options.snapshot = own->get();
+  options.snapshot = *own;
   auto result = rig->index->Query("/doc/leaf", options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(*result, (std::vector<uint64_t>{1}));

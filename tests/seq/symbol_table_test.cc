@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 
 namespace vist {
 namespace {
@@ -66,36 +64,36 @@ TEST(SymbolTableTest, WildcardClassification) {
   EXPECT_FALSE(IsValueSymbol(kDescendantSymbol));
 }
 
-TEST(SymbolTableTest, SaveLoadRoundTrip) {
-  auto path = std::filesystem::temp_directory_path() /
-              ("vist_symtab_" + std::to_string(getpid()) + ".tbl");
+TEST(SymbolTableTest, EncodeDecodeRoundTrip) {
   SymbolTable table;
-  Symbol p = table.Intern("purchase");
-  Symbol s = table.Intern("seller");
-  Symbol empty_ok = table.Intern("zzz");
-  ASSERT_TRUE(table.Save(path.string()).ok());
-
-  auto loaded = SymbolTable::Load(path.string());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), 3u);
-  EXPECT_EQ(loaded->Lookup("purchase").value(), p);
-  EXPECT_EQ(loaded->Lookup("seller").value(), s);
-  EXPECT_EQ(loaded->Lookup("zzz").value(), empty_ok);
-  EXPECT_EQ(loaded->Name(p).value(), "purchase");
-  std::filesystem::remove(path);
+  const Symbol p = table.Intern("purchase");
+  const Symbol s = table.Intern("seller");
+  const Symbol z = table.Intern("zzz");
+  // A table encodes as one (symbol, name) record per name, and decodes by
+  // restoring the records in symbol order.
+  SymbolTable loaded;
+  for (Symbol symbol = 1; symbol <= table.size(); ++symbol) {
+    auto name = table.Name(symbol);
+    ASSERT_TRUE(name.ok());
+    ASSERT_TRUE(loaded.Restore(symbol, *name).ok());
+  }
+  EXPECT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded.Lookup("purchase").value(), p);
+  EXPECT_EQ(loaded.Lookup("seller").value(), s);
+  EXPECT_EQ(loaded.Lookup("zzz").value(), z);
+  EXPECT_EQ(loaded.Name(p).value(), "purchase");
+  // Interning continues after the restored symbols.
+  EXPECT_EQ(loaded.Intern("new"), z + 1);
 }
 
-TEST(SymbolTableTest, LoadRejectsMissingAndCorrupt) {
-  EXPECT_TRUE(SymbolTable::Load("/nonexistent/file").status().IsIOError());
-  auto path = std::filesystem::temp_directory_path() /
-              ("vist_symtab_bad_" + std::to_string(getpid()) + ".tbl");
-  {
-    std::ofstream out(path);
-    out << "\xFF\xFF\xFF\xFF\xFF garbage";
-  }
-  auto loaded = SymbolTable::Load(path.string());
-  EXPECT_FALSE(loaded.ok());
-  std::filesystem::remove(path);
+TEST(SymbolTableTest, RestoreRejectsMalformedRecords) {
+  SymbolTable table;
+  EXPECT_TRUE(table.Restore(2, "gap").IsCorruption());  // symbol 1 missing
+  EXPECT_TRUE(table.Restore(0, "zero").IsCorruption());
+  ASSERT_TRUE(table.Restore(1, "a").ok());
+  EXPECT_TRUE(table.Restore(1, "again").IsCorruption());  // replayed symbol
+  EXPECT_TRUE(table.Restore(2, "a").IsCorruption());      // duplicate name
+  EXPECT_EQ(table.size(), 1u);
 }
 
 }  // namespace

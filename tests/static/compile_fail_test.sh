@@ -5,10 +5,10 @@
 # any of them compiles, or if a rejection comes from the wrong diagnostic
 # (e.g. a broken include rather than the lint we are testing).
 #
-# Five cases are compiler-agnostic ([[nodiscard]] on Status/Result,
-# -Wshadow, -Wswitch-enum, IgnoreError's required reason); the
-# thread-safety cases need clang and are skipped, loudly, under other
-# compilers. control_ok.cc must compile with every flag — it guards
+# Six cases are compiler-agnostic ([[nodiscard]] on Status/Result,
+# -Wshadow, -Wswitch-enum, IgnoreError's required reason, the owning
+# QueryOptions::snapshot); the thread-safety cases need clang and are
+# skipped, loudly, under other compilers. control_ok.cc must compile with every flag — it guards
 # against the gates rejecting *correct* code.
 #
 # Usage: compile_fail_test.sh <c++-compiler> <src-include-dir> <cases-dir>
@@ -71,6 +71,8 @@ expect_fail discarded_result.cc nodiscard -Werror=unused-result
 expect_fail shadowed_local.cc shadow -Werror=shadow
 expect_fail defaulted_status_switch.cc switch-enum -Werror=switch-enum
 expect_fail ignore_error_without_reason.cc IgnoreError
+# GCC says "no match for 'operator='", clang "no viable overloaded '='".
+expect_fail raw_snapshot_option.cc "operator=\|overloaded '='"
 
 # Thread-safety rejections (clang only).
 if [[ "$HAVE_TSA" == "1" ]]; then
@@ -87,8 +89,8 @@ else
 fi
 
 echo "compile-fail: $ran rejected, $skipped skipped, $failures failures"
-if (( ran < 5 )); then
-  echo "FAIL: fewer than 5 violation classes demonstrated"
+if (( ran < 6 )); then
+  echo "FAIL: fewer than 6 violation classes demonstrated"
   exit 1
 fi
 exit $(( failures > 0 ? 1 : 0 ))

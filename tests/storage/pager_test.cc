@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include "common/coding.h"
 
 namespace vist {
 namespace {
@@ -126,17 +129,63 @@ TEST_F(PagerTest, FreelistSurvivesReopen) {
   }
 }
 
-TEST_F(PagerTest, PageSizeMismatchRejected) {
+TEST_F(PagerTest, PageSizeAdoptedOnReopen) {
+  PageId data_page;
   {
     PagerOptions opts;
-    opts.page_size = 4096;
-    ASSERT_TRUE(Pager::Open(path_, opts).ok());
+    opts.page_size = 1024;
+    auto pager = Pager::Open(path_, opts);
+    ASSERT_TRUE(pager.ok());
+    auto id = (*pager)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    data_page = *id;
+    std::vector<char> buf(1024, 'Z');
+    ASSERT_TRUE((*pager)->WritePage(data_page, buf.data()).ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
   }
+  // The file knows its own page size; the option only sizes new files.
   PagerOptions opts;
   opts.page_size = 8192;
   auto reopened = Pager::Open(path_, opts);
-  EXPECT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsInvalidArgument());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->page_size(), 1024u);
+  std::vector<char> buf(1024);
+  ASSERT_TRUE((*reopened)->ReadPage(data_page, buf.data()).ok());
+  EXPECT_EQ(buf[0], 'Z');
+}
+
+TEST_F(PagerTest, OutOfRangeStoredPageSizeIsCorruption) {
+  { ASSERT_TRUE(Pager::Open(path_, PagerOptions()).ok()); }
+  {
+    // page_size sits at header offset 8; 1000 is not a power of two.
+    FILE* f = fopen(path_.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    char stored[4];
+    EncodeFixed32LE(stored, 1000);
+    ASSERT_EQ(fseek(f, 8, SEEK_SET), 0);
+    ASSERT_EQ(fwrite(stored, 1, sizeof(stored), f), sizeof(stored));
+    fclose(f);
+  }
+  auto reopened = Pager::Open(path_, PagerOptions());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+  EXPECT_NE(reopened.status().message().find("page_size"), std::string::npos)
+      << reopened.status().ToString();
+}
+
+TEST_F(PagerTest, OpenWithoutCreateMakesNoFile) {
+  PagerOptions opts;
+  opts.create = false;
+  auto missing = Pager::Open(path_, opts);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(path_));
+  { std::ofstream empty(path_); }
+  auto empty = Pager::Open(path_, opts);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_TRUE(empty.status().IsNotFound()) << empty.status().ToString();
+  EXPECT_EQ(std::filesystem::file_size(path_), 0u);
 }
 
 TEST_F(PagerTest, CorruptMagicDetected) {

@@ -8,13 +8,16 @@
 // under both durability levels. kProcessCrash is checked against the
 // at-crash file state (completed writes survive a process crash);
 // kPowerLoss is additionally checked after SimulatePowerLoss() rewinds
-// every file to its fsync'd state.
+// every file to its fsync'd state. A second matrix crashes VistIndex::Create
+// itself: the directory must then open as an empty index or accept a fresh
+// Create.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/fault_injection_env.h"
 #include "vist/fsck.h"
@@ -137,6 +140,78 @@ TEST_P(PowerLossMatrixTest, EveryCrashPointRecoversLastSyncState) {
       } else {
         EXPECT_TRUE(ids->empty()) << "uncommitted doc " << i << " survived";
       }
+    }
+  }
+}
+
+TEST_P(PowerLossMatrixTest, EveryCrashPointInCreateLeavesAnIndexOrNone) {
+  // The statistical allocator makes Create store sampled stats besides the
+  // options record and the trees.
+  SymbolTable sampling;
+  SchemaStats stats;
+  for (int i = 1; i <= 4; ++i) {
+    auto doc = xml::Parse(DocText(i));
+    ASSERT_TRUE(doc.ok());
+    stats.CollectFrom(BuildSequence(*doc->root(), &sampling));
+  }
+  auto options = [&](Env* env) {
+    VistOptions o;
+    o.page_size = 512;
+    o.durability = GetParam();
+    o.env = env;
+    o.allocator = VistOptions::AllocatorKind::kStatistical;
+    o.stats = &stats;
+    return o;
+  };
+
+  // Fault-free run to size the matrix.
+  uint64_t total_mutations = 0;
+  {
+    std::filesystem::remove_all(dir_);
+    FaultInjectionEnv env;
+    auto index = VistIndex::Create(dir_, options(&env));
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    total_mutations = env.mutation_count();
+  }
+  ASSERT_GT(total_mutations, 5u);
+
+  for (uint64_t k = 0; k < total_mutations; ++k) {
+    SCOPED_TRACE("crash at mutation " + std::to_string(k));
+    std::filesystem::remove_all(dir_);
+    FaultInjectionEnv env;
+    env.set_crash_at_mutation(static_cast<int64_t>(k), /*torn_bytes=*/13);
+    {
+      auto index = VistIndex::Create(dir_, options(&env));
+      ASSERT_TRUE(env.crashed());
+      if (index.ok()) (*index)->SimulateCrashForTesting();
+    }
+    if (GetParam() == DurabilityLevel::kPowerLoss) {
+      env.SimulatePowerLoss();
+    }
+
+    auto reopened = VistIndex::Open(dir_, VistOptions());
+    if (reopened.ok()) {
+      // Create committed: an empty, clean index with its stats.
+      auto report = RunFsck(dir_);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_TRUE(report->ok()) << report->Summary();
+      auto index_stats = (*reopened)->Stats();
+      ASSERT_TRUE(index_stats.ok());
+      EXPECT_EQ(index_stats->num_documents, 0u);
+      EXPECT_EQ((*reopened)->options().allocator,
+                VistOptions::AllocatorKind::kStatistical);
+      auto doc = xml::Parse(DocText(1));
+      ASSERT_TRUE(doc.ok());
+      ASSERT_TRUE((*reopened)->InsertDocument(*doc->root(), 1).ok());
+      auto ids = (*reopened)->Query("/doc/u1");
+      ASSERT_TRUE(ids.ok());
+      EXPECT_EQ(*ids, (std::vector<uint64_t>{1}));
+    } else {
+      // No committed index: the directory takes a fresh Create.
+      EXPECT_TRUE(reopened.status().IsNotFound())
+          << reopened.status().ToString();
+      auto fresh = VistIndex::Create(dir_, options(nullptr));
+      EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
     }
   }
 }

@@ -1,7 +1,8 @@
 // Seeded-corruption tests for the offline checker: every class of damage
 // fsck promises to find (flipped bytes on every data page, a truncated
 // tail, a freelist cycle, cross-linked pages) must produce a non-empty
-// problem list, and a freshly built index must come back clean.
+// problem list, and a freshly built index must come back clean. A
+// malformed meta record is the one damage left to VistIndex::Open.
 
 #include "vist/fsck.h"
 
@@ -14,6 +15,7 @@
 
 #include "common/coding.h"
 #include "storage/pager.h"
+#include "storage/versioned_store.h"
 #include "vist/manifest.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
@@ -189,20 +191,33 @@ TEST_F(FsckTest, DetectsLeakedPage) {
   EXPECT_GT(report->leaked_pages, 0u) << report->Summary();
 }
 
-TEST_F(FsckTest, DetectsMissingManifest) {
+TEST_F(FsckTest, MalformedMetaRecordIsCorruptionOnOpen) {
   BuildIndex();
-  std::filesystem::remove(ManifestPath(dir_));
-  EXPECT_FALSE(RunFsck(dir_).ok());
-}
-
-TEST_F(FsckTest, DetectsCorruptSymbolTable) {
-  BuildIndex();
-  std::filesystem::resize_file(SymbolsPath(dir_), 3);
+  // Overwrite the options record in a committed transaction of its own, so
+  // the page file stays structurally sound...
+  {
+    auto store =
+        VersionedStore::Open(DbPath(), StoreOptions(), /*create=*/false);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto meta = (*store)->OpenTree(kMetaTreeSlot);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    ASSERT_TRUE((*store)
+                    ->Write(/*epoch=*/1,
+                            [&] { return (*meta)->Put(kOptionsKey, "junk"); })
+                    .ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
   auto report = RunFsck(dir_);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->ok());
-  EXPECT_NE(report->Summary().find("symbol table"), std::string::npos)
-      << report->Summary();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
+  // ...which fsck's walk accepts, while Open cannot decode the record. The
+  // damage is Corruption, not an absent index, so Create refuses it too.
+  auto index = VistIndex::Open(dir_, VistOptions());
+  ASSERT_FALSE(index.ok());
+  EXPECT_TRUE(index.status().IsCorruption()) << index.status().ToString();
+  auto created = VistIndex::Create(dir_, VistOptions());
+  ASSERT_FALSE(created.ok());
+  EXPECT_TRUE(created.status().IsCorruption()) << created.status().ToString();
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "vist/schema_stats.h"
@@ -189,15 +189,13 @@ TEST_F(StatisticalAllocatorTest, UnknownContextFallsBackToUniform) {
   EXPECT_TRUE(scope.valid());
 }
 
-TEST(SchemaStatsTest, SaveLoadRoundTrip) {
+TEST(SchemaStatsTest, EncodeDecodeRoundTrip) {
   SchemaStats stats;
   Sequence s = {{1, {}}, {2, {1}}, {3, {1, 2}}};
   stats.CollectFrom(s);
   stats.CollectFrom(s);
-  auto path = std::filesystem::temp_directory_path() /
-              ("vist_stats_" + std::to_string(getpid()) + ".bin");
-  ASSERT_TRUE(stats.Save(path.string()).ok());
-  auto loaded = SchemaStats::Load(path.string());
+  const std::string blob = stats.Encode();
+  auto loaded = SchemaStats::Decode(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_samples(), 2u);
   const auto* successors = loaded->Lookup(1);
@@ -207,7 +205,12 @@ TEST(SchemaStatsTest, SaveLoadRoundTrip) {
   EXPECT_EQ(successors->counts[0].first.symbol, 2u);
   EXPECT_EQ(successors->counts[0].second, 2u);
   EXPECT_EQ(loaded->Lookup(42), nullptr);
-  std::filesystem::remove(path);
+  EXPECT_EQ(loaded->Encode(), blob);
+  // Truncated or padded blobs are Corruption, never a partial decode.
+  EXPECT_TRUE(SchemaStats::Decode(Slice(blob.data(), blob.size() - 1))
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(SchemaStats::Decode(blob + "x").status().IsCorruption());
 }
 
 }  // namespace

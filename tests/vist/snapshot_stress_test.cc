@@ -103,7 +103,7 @@ TEST_F(StressTest, ReadersProgressDuringLongBulkInsert) {
 
         // The long-lived pin answers with the pre-insert state forever.
         QueryOptions base_options;
-        base_options.snapshot = base_snap.get();
+        base_options.snapshot = base_snap;
         auto frozen = index->Query(kHotQuery, base_options);
         if (!frozen.ok() || *frozen != *oracle_before) {
           bad.fetch_add(1, std::memory_order_relaxed);
@@ -119,7 +119,7 @@ TEST_F(StressTest, ReadersProgressDuringLongBulkInsert) {
         }
         const std::shared_ptr<const Snapshot> pin = *snap;
         QueryOptions options;
-        options.snapshot = pin.get();
+        options.snapshot = pin;
         auto first = index->Query(kHotQuery, options);
         auto second = index->Query(kHotQuery, options);
         if (!first.ok() || !second.ok() || *first != *second ||
@@ -166,7 +166,7 @@ TEST_F(StressTest, ReadersProgressDuringLongBulkInsert) {
   // The long-lived pin still answers with the pre-insert state; the
   // current state has everything.
   QueryOptions base_options;
-  base_options.snapshot = base_snap.get();
+  base_options.snapshot = base_snap;
   auto frozen = index->Query(kHotQuery, base_options);
   ASSERT_TRUE(frozen.ok());
   EXPECT_EQ(*frozen, *oracle_before);
@@ -219,7 +219,7 @@ TEST_F(StressTest, FsckCleanAfterReclamationChurn) {
           held = *snap;
         }
         QueryOptions query_options;
-        query_options.snapshot = held.get();
+        query_options.snapshot = held;
         auto hot = index->Query(kHotQuery, query_options);
         auto point =
             index->Query("/doc/u" + std::to_string(probe % 300), query_options);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection_env.h"
@@ -332,6 +334,77 @@ TEST_F(VistIndexTest, CreateTwiceRejected) {
 TEST_F(VistIndexTest, OpenMissingDirectoryFails) {
   auto index = VistIndex::Open((dir_ / "nope").string(), VistOptions());
   EXPECT_FALSE(index.ok());
+  EXPECT_TRUE(index.status().IsNotFound()) << index.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "nope")) << "Open created files";
+}
+
+TEST_F(VistIndexTest, DirectoryHoldsOnlyThePageFile) {
+  auto files = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> page_file = {"index.db"};
+  VistOptions options;
+  options.store_documents = true;
+  CreateIndex(options);
+  EXPECT_EQ(files(), page_file);
+  std::vector<std::pair<uint64_t, Sequence>> corpus;
+  for (uint64_t id = 1; id <= 20; ++id) {
+    auto doc = xml::Parse("<r><k" + std::to_string(id % 5) + ">v" +
+                          std::to_string(id) + "</k" + std::to_string(id % 5) +
+                          "></r>");
+    ASSERT_TRUE(doc.ok());
+    corpus.emplace_back(id, BuildSequence(*doc->root(), index_->symbols()));
+  }
+  ASSERT_TRUE(index_->BulkLoadSequences(corpus).ok());
+  Insert(21, "<r><fresh>x</fresh></r>");
+  EXPECT_EQ(files(), (std::vector<std::string>{"index.db", "index.db.journal"}))
+      << "an open batch keeps its journal";
+  ASSERT_TRUE(index_->Flush().ok());
+  EXPECT_EQ(files(), page_file);
+  ReopenIndex();
+  EXPECT_EQ(files(), page_file);
+  EXPECT_EQ(Run("/r/k3"), (std::vector<uint64_t>{3, 8, 13, 18}));
+  EXPECT_EQ(Run("/r/fresh[text()='x']"), (std::vector<uint64_t>{21}));
+  EXPECT_TRUE(index_->options().store_documents);
+}
+
+TEST_F(VistIndexTest, OpenAdoptsThePageFileSize) {
+  VistOptions options;
+  options.page_size = 1024;
+  CreateIndex(options);
+  Insert(1, "<a><b/></a>");
+  index_.reset();
+  VistOptions other;
+  other.page_size = 8192;
+  auto index = VistIndex::Open(dir_.string(), other);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->options().page_size, 1024u);
+  auto ids = (*index)->Query("/a/b");
+  ASSERT_TRUE(ids.ok());
+  EXPECT_EQ(*ids, (std::vector<uint64_t>{1}));
+}
+
+TEST_F(VistIndexTest, NamesOfAnAbortedWriteAreStoredByTheNextInsert) {
+  CreateIndex();
+  Insert(1, "<a><b/></a>");
+  // Deleting a document never inserted interns its names, then aborts, so
+  // no name record is written; the next committed insert stores the name
+  // along with its own.
+  auto ghost = xml::Parse("<a><orphan/></a>");
+  ASSERT_TRUE(ghost.ok());
+  EXPECT_TRUE(index_->DeleteDocument(*ghost->root(), 9).IsNotFound());
+  const Symbol orphan = index_->symbols()->Lookup("orphan").value();
+  Insert(2, "<a><c/></a>");
+  ASSERT_TRUE(index_->Flush().ok());
+  ReopenIndex();
+  EXPECT_EQ(index_->symbols()->Lookup("orphan").value(), orphan);
+  EXPECT_EQ(Run("/a/c"), (std::vector<uint64_t>{2}));
+  EXPECT_EQ(Run("/a/b"), (std::vector<uint64_t>{1}));
 }
 
 TEST_F(VistIndexTest, StatsReflectState) {
