@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/node_index.h"
@@ -213,6 +214,8 @@ int main() {
   fprintf(out, "{\n");
   fprintf(out, "  \"bench\": \"router\",\n");
   fprintf(out, "  \"records_per_corpus\": %d,\n", records);
+  fprintf(out, "  \"hardware_threads\": %u,\n",
+          std::thread::hardware_concurrency());
   fprintf(out, "  \"warmup_runs\": %d,\n", kWarmupRuns);
   fprintf(out, "  \"timed_runs\": %d,\n", kTimedRuns);
   fprintf(out, "  \"queries\": [\n");

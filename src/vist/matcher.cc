@@ -1,6 +1,6 @@
 #include "vist/matcher.h"
 
-#include <set>
+#include <algorithm>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -38,7 +38,7 @@ struct BoundMatch {
 class Searcher {
  public:
   Searcher(const MatchContext& context, const QuerySequence& query,
-           obs::QueryProfile* profile, std::set<uint64_t>* results)
+           obs::QueryProfile* profile, std::vector<uint64_t>* results)
       : context_(context),
         query_(query),
         profile_(profile),
@@ -46,8 +46,21 @@ class Searcher {
         bound_(query.size()) {}
 
   Status Run() {
+    // q0..qc: the leading chain, each element the query-tree parent of the
+    // next. The search starts at its end qc; c = 0 is the paper's top-down
+    // order.
+    while (chain_end_ + 1 < query_.size() &&
+           query_[chain_end_ + 1].parent == static_cast<int>(chain_end_)) {
+      ++chain_end_;
+    }
+    for (size_t i = chain_end_ + 1; i < query_.size(); ++i) {
+      const int parent = query_[i].parent;
+      if (parent >= 0 && static_cast<size_t>(parent) < chain_end_) {
+        bind_chain_ = true;
+      }
+    }
     // The virtual root's scope encloses every node.
-    Search(0, Scope{0, kMaxScope});
+    Search(chain_end_, Scope{0, kMaxScope});
     return status_;
   }
 
@@ -68,6 +81,12 @@ class Searcher {
     return true;
   }
 
+  std::unique_ptr<BTree::Iterator> NewEntryIterator() {
+    auto it = context_.entry_tree.NewIterator();
+    it->set_deadline_checker(context_.deadline);
+    return it;
+  }
+
   // Matches query elements qi.. inside `enclosing`, the scope of the node
   // matched for element qi-1 (S-Ancestorship: labels in (n, n+size)).
   void Search(size_t qi, const Scope& enclosing) {
@@ -79,59 +98,80 @@ class Searcher {
     }
     const QuerySequenceElement& elem = query_[qi];
 
-    // Instantiate the pattern with the query-tree parent's concrete match
-    // (§3.3: the parent's match "instantiates" the shared wildcards); what
-    // remains unresolved is a trailing run of wildcards.
-    std::vector<Symbol> required;
-    size_t tail_from = 0;
-    if (elem.parent >= 0) {
+    // The D-key pattern left to match. The chain end matches its whole
+    // pattern. Every later element is instantiated with its query-tree
+    // parent's concrete match (§3.3: the parent's match "instantiates" the
+    // shared wildcards), so what remains unresolved is a trailing run of
+    // wildcards.
+    std::vector<Symbol> pattern;
+    if (qi == chain_end_ || elem.parent < 0) {
+      pattern = elem.pattern;
+    } else {
       const BoundMatch& parent = bound_[elem.parent];
-      required = parent.prefix;
-      required.push_back(parent.symbol);
-      tail_from = query_[elem.parent].pattern.size() + 1;
+      pattern = parent.prefix;
+      pattern.push_back(parent.symbol);
+      pattern.insert(pattern.end(),
+                     elem.pattern.begin() +
+                         query_[elem.parent].pattern.size() + 1,
+                     elem.pattern.end());
     }
-    size_t min_extra = 0;
-    bool unbounded = false;
-    for (size_t i = tail_from; i < elem.pattern.size(); ++i) {
-      if (elem.pattern[i] == kStarSymbol) {
-        ++min_extra;
-      } else {
-        VIST_CHECK(elem.pattern[i] == kDescendantSymbol)
-            << "non-wildcard in instantiated pattern tail";
-        unbounded = true;
-      }
+    size_t known = 0;
+    while (known < pattern.size() && !IsWildcardSymbol(pattern[known])) {
+      ++known;
+    }
+
+    if (known == pattern.size()) {
+      // A concrete D-key: seek straight to its S-Ancestor range.
+      Count(&obs::QueryProfile::range_scans,
+            MatcherMetrics::Get().range_scans);
+      BoundMatch& slot = bound_[qi];
+      slot.symbol = elem.symbol;
+      slot.prefix = std::move(pattern);
+      // A concrete chain end has one alignment: each name at its own
+      // pattern position.
+      if (qi == chain_end_ && bind_chain_) AlignChain();
+      ScanGroup(NewEntryIterator().get(),
+                EncodeDKey(slot.symbol, slot.prefix), qi, enclosing,
+                /*decode_dkey=*/false);
+      return;
     }
 
     // '//' expands into "a series of '*' queries" (§3.3): one prefix-length
     // bucket per depth up to the deepest prefix in the index.
-    const size_t depth_lo = required.size() + min_extra;
+    size_t depth_lo = 0;
+    bool unbounded = false;
+    for (size_t i = known; i < pattern.size(); ++i) {
+      VIST_CHECK(qi == chain_end_ || IsWildcardSymbol(pattern[i]))
+          << "non-wildcard in instantiated pattern tail";
+      if (pattern[i] == kDescendantSymbol) {
+        unbounded = true;
+      } else {
+        ++depth_lo;
+      }
+    }
+    depth_lo += known;
+    pattern.resize(known);
     const size_t depth_hi =
         unbounded ? std::max<uint64_t>(context_.max_depth, depth_lo)
                   : depth_lo;
     for (size_t depth = depth_lo;
          depth <= depth_hi && depth <= kMaxPrefixDepth && status_.ok();
          ++depth) {
-      SearchDepth(qi, elem, required, depth, enclosing);
+      SearchDepth(qi, pattern, depth, enclosing);
     }
   }
 
-  // Scans all D-keys with elem.symbol, the given prefix length, and the
-  // required known prefix; for each, range-scans its S-Ancestor entries
-  // inside `enclosing` and recurses.
-  void SearchDepth(size_t qi, const QuerySequenceElement& elem,
-                   const std::vector<Symbol>& required, size_t depth,
+  // Discovers the D-key groups with query_[qi].symbol, `depth` prefix
+  // symbols, and the concrete prefix head `known`, and scans each.
+  void SearchDepth(size_t qi, const std::vector<Symbol>& known, size_t depth,
                    const Scope& enclosing) {
     Count(&obs::QueryProfile::range_scans, MatcherMetrics::Get().range_scans);
     const std::string partial =
-        EncodeDKeyPartial(elem.symbol, depth, required);
+        EncodeDKeyPartial(query_[qi].symbol, depth, known);
     const std::string partial_end = PrefixRangeEnd(partial);
-    // A node is a descendant of the enclosing node x iff its parent label
-    // lies in [x.n, x.n + size) — see seq/key_codec.h.
-    const uint64_t parent_lo = enclosing.n;
-    const uint64_t parent_hi = enclosing.n + enclosing.size;
+    const bool at_chain_end = qi == chain_end_ && chain_end_ > 0;
 
-    auto it = context_.entry_tree.NewIterator();
-    it->set_deadline_checker(context_.deadline);
+    auto it = NewEntryIterator();
     it->Seek(partial);
     while (status_.ok() && it->Valid() &&
            (partial_end.empty() || it->key().Compare(partial_end) < 0)) {
@@ -142,49 +182,143 @@ class Searcher {
         return;
       }
       const std::string dkey = dkey_slice.ToString();
-
-      // S-Ancestorship range query within this D-key group.
-      it->Seek(EncodeEntryKey(dkey, parent_lo, 0));
-      while (it->Valid() && it->key().StartsWith(dkey)) {
-        if (DeadlineExpired()) return;
-        Count(&obs::QueryProfile::entries_scanned,
-              MatcherMetrics::Get().entries_scanned);
-        Slice seen_dkey;
-        if (!DecodeEntryKey(it->key(), &seen_dkey, &parent_n, &n) ||
-            seen_dkey.ToString() != dkey) {
-          break;  // a longer D-key sharing the byte prefix: out of group
-        }
-        if (parent_n >= parent_hi) break;
-        NodeRecord record;
-        if (!DecodeNodeRecord(it->value(), &record)) {
-          status_ = Status::Corruption("malformed node record in index");
-          return;
-        }
-        record.n = n;
-        record.parent_n = parent_n;
-        Count(&obs::QueryProfile::nodes_matched,
-              MatcherMetrics::Get().nodes_matched);
+      if (!at_chain_end) {
+        ScanGroup(it.get(), dkey, qi, enclosing, /*decode_dkey=*/true);
+      } else {
+        // The chain end's pattern can hold names after a wildcard, which
+        // the key range does not filter. Its scope is the whole label
+        // space, so every group found here binds it.
         BoundMatch& slot = bound_[qi];
-        slot.symbol = elem.symbol;
         if (!DecodeDKey(dkey, &slot.symbol, &slot.prefix)) {
           status_ = Status::Corruption("malformed D-key in index");
           return;
         }
-        slot.record = record;
-        Search(qi + 1, record.scope());
-        if (!status_.ok()) return;
-        it->Next();
+        if (AlignChain()) {
+          ScanGroup(it.get(), dkey, qi, enclosing, /*decode_dkey=*/false);
+        }
       }
-      if (!it->status().ok()) {
-        status_ = it->status();
-        return;
-      }
+      if (!status_.ok()) return;
       // Jump to the next D-key group in the wildcard range.
       const std::string next_group = PrefixRangeEnd(dkey);
       if (next_group.empty()) break;
       it->Seek(next_group);
     }
     if (!it->status().ok()) status_ = it->status();
+  }
+
+  // Scans one D-key group's S-Ancestor range: binds element qi to every
+  // entry `dkey ‖ parent_n ‖ n` whose parent label lies in `enclosing` (a
+  // node is a descendant of x iff its parent is in [x.n, x.n + size) — see
+  // seq/key_codec.h) and continues the search below it. With `decode_dkey`,
+  // the first bound entry decodes the group's (symbol, prefix) into the
+  // binding; otherwise the caller has set it.
+  void ScanGroup(BTree::Iterator* it, const std::string& dkey, size_t qi,
+                 const Scope& enclosing, bool decode_dkey) {
+    const uint64_t parent_hi = enclosing.n + enclosing.size;
+    BoundMatch& slot = bound_[qi];
+    for (it->Seek(EncodeEntryKey(dkey, enclosing.n, 0));
+         it->Valid() && it->key().StartsWith(dkey); it->Next()) {
+      if (DeadlineExpired()) return;
+      Count(&obs::QueryProfile::entries_scanned,
+            MatcherMetrics::Get().entries_scanned);
+      Slice seen_dkey;
+      uint64_t parent_n = 0, n = 0;
+      if (!DecodeEntryKey(it->key(), &seen_dkey, &parent_n, &n)) {
+        status_ = Status::Corruption("malformed entry key in index");
+        return;
+      }
+      // A longer D-key sharing the byte prefix is out of group.
+      if (seen_dkey != Slice(dkey) || parent_n >= parent_hi) break;
+      NodeRecord record;
+      if (!DecodeNodeRecord(it->value(), &record)) {
+        status_ = Status::Corruption("malformed node record in index");
+        return;
+      }
+      record.n = n;
+      record.parent_n = parent_n;
+      Count(&obs::QueryProfile::nodes_matched,
+            MatcherMetrics::Get().nodes_matched);
+      if (decode_dkey) {
+        if (!DecodeDKey(dkey, &slot.symbol, &slot.prefix)) {
+          status_ = Status::Corruption("malformed D-key in index");
+          return;
+        }
+        decode_dkey = false;
+      }
+      slot.record = record;
+      Descend(qi, record.scope());
+      if (!status_.ok()) return;
+    }
+    if (!it->status().ok()) status_ = it->status();
+  }
+
+  // Continues the search below element qi's match. At the chain end, each
+  // alignment first binds q0..qc-1 to the ancestors it names.
+  void Descend(size_t qi, const Scope& scope) {
+    if (qi != chain_end_ || !bind_chain_) {
+      Search(qi + 1, scope);
+      return;
+    }
+    const std::vector<Symbol>& prefix = bound_[qi].prefix;
+    for (size_t a = 0; a < alignments_.size() && status_.ok();
+         a += chain_end_) {
+      for (size_t i = 0; i < chain_end_; ++i) {
+        bound_[i].symbol = query_[i].symbol;
+        bound_[i].prefix.assign(prefix.begin(),
+                                prefix.begin() + alignments_[a + i]);
+      }
+      Search(qi + 1, scope);
+    }
+  }
+
+  // Aligns the chain end's pattern with its bound prefix. Preorder puts a
+  // node's tree ancestors on its own trie path, so the ancestor at prefix
+  // position k has the D-key (prefix[k], prefix[0..k)): an alignment that
+  // puts qi's name at position k binds qi to that ancestor. Records in
+  // alignments_ the positions of q0..qc-1 for every alignment, or for the
+  // first only when no later element refers to them; false when there is
+  // none.
+  bool AlignChain() {
+    alignments_.clear();
+    AlignFrom(0, 0);
+    return !alignments_.empty();
+  }
+
+  void AlignFrom(size_t i, size_t from) {
+    const std::vector<Symbol>& pattern = query_[chain_end_].pattern;
+    const std::vector<Symbol>& prefix = bound_[chain_end_].prefix;
+    // pattern[begin, end) is the wildcard run before qi's name, or before
+    // the end of the prefix when i == c: '*' spans one prefix symbol, '//'
+    // any number.
+    const size_t begin = i == 0 ? 0 : query_[i - 1].pattern.size() + 1;
+    const size_t end =
+        i == chain_end_ ? pattern.size() : query_[i].pattern.size();
+    size_t span = 0;
+    bool unbounded = false;
+    for (size_t j = begin; j < end; ++j) {
+      if (pattern[j] == kDescendantSymbol) {
+        unbounded = true;
+      } else {
+        ++span;
+      }
+    }
+    if (i == chain_end_) {
+      const size_t rest = prefix.size() - from;
+      if (unbounded ? rest >= span : rest == span) {
+        alignments_.insert(alignments_.end(), positions_.begin(),
+                           positions_.end());
+      }
+      return;
+    }
+    for (size_t k = from + span; k < prefix.size(); ++k) {
+      if (prefix[k] == query_[i].symbol) {
+        positions_.push_back(k);
+        AlignFrom(i + 1, k + 1);
+        positions_.pop_back();
+        if (!bind_chain_ && !alignments_.empty()) return;
+      }
+      if (!unbounded) break;
+    }
   }
 
   // Final step of Algorithm 2: all documents attached at or under the last
@@ -204,7 +338,7 @@ class Searcher {
         return;
       }
       if (n >= hi) break;
-      results_->insert(doc_id);
+      results_->push_back(doc_id);
     }
     if (!it->status().ok()) status_ = it->status();
   }
@@ -212,8 +346,16 @@ class Searcher {
   const MatchContext& context_;
   const QuerySequence& query_;
   obs::QueryProfile* profile_;
-  std::set<uint64_t>* results_;
+  std::vector<uint64_t>* results_;
   std::vector<BoundMatch> bound_;
+  // Index of the leading chain's last element (qc), and whether any later
+  // element's query-tree parent is one of q0..qc-1.
+  size_t chain_end_ = 0;
+  bool bind_chain_ = false;
+  // The chain end's current alignments, chain_end_ positions each, and the
+  // positions of the alignment being built.
+  std::vector<size_t> alignments_;
+  std::vector<size_t> positions_;
   Status status_;
 };
 
@@ -227,19 +369,21 @@ Result<std::vector<uint64_t>> MatchCompiledQuery(
   if (profile != nullptr) {
     profile->alternatives += compiled.alternatives.size();
   }
-  std::set<uint64_t> results;
+  std::vector<uint64_t> results;
   for (const QuerySequence& alt : compiled.alternatives) {
     if (alt.empty()) continue;
     Searcher searcher(context, alt, profile, &results);
     VIST_RETURN_IF_ERROR(searcher.Run());
   }
+  std::sort(results.begin(), results.end());
+  results.erase(std::unique(results.begin(), results.end()), results.end());
   if (profile != nullptr) {
     // A later verification stage (VistIndex::Query with verify) narrows
     // verified_results; until then the two are equal by convention.
     profile->candidates += results.size();
     profile->verified_results = profile->candidates;
   }
-  return std::vector<uint64_t>(results.begin(), results.end());
+  return results;
 }
 
 }  // namespace vist

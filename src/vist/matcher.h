@@ -3,15 +3,28 @@
 // "ViST uses the same sequence matching algorithm as RIST").
 //
 // Per query element the matcher performs the paper's two-step "jump":
-//   1. D-Ancestorship — locate the S-Ancestor entries of the element's
-//      (Symbol, Prefix). Concrete prefixes are a point lookup; prefixes
-//      ending in wildcard place holders become range scans over the D-key
-//      order (symbol, |prefix|, prefix), with '//' expanded into "a series
-//      of '*' queries" over prefix lengths up to the indexed maximum.
-//   2. S-Ancestorship — within each matching D-key, a range scan over the
-//      labels n ∈ (n_x, n_x + size_x) of the previously matched node.
+//   1. D-Ancestorship — find the D-key groups (Symbol, Prefix) that match
+//      the element's pattern, instantiated with its query-tree parent's
+//      concrete match. A fully concrete D-key is seeked directly; a
+//      pattern ending in wildcard place holders becomes a discovery loop
+//      over the D-key order (symbol, |prefix|, prefix), with '//' expanded
+//      into "a series of '*' queries" over prefix lengths up to the
+//      indexed maximum.
+//   2. S-Ancestorship — within each group, one scan of the labels whose
+//      parent lies in the scope (n_x, n_x + size_x) of the node matched
+//      for the previous element.
 // After the last element, doc ids are collected by a range query
 // [n, n + size) on the DocId B+ tree.
+//
+// Chain start. The query's leading chain q0..qc (each element the
+// query-tree parent of the next) is not bound top-down: the search starts
+// at qc, matching its whole pattern over the whole label space. Preorder
+// puts a node's tree ancestors before it on its own trie path, so a node
+// that matches qc's pattern holds the matches of q0..qc-1 in its prefix;
+// aligning the pattern with the prefix binds them (every alignment, when a
+// later element refers to them). The answers are the paper's; only the
+// order in which elements are bound changes. A query rooted at a wildcard
+// has c = 0: the paper's top-down order.
 
 #ifndef VIST_VIST_MATCHER_H_
 #define VIST_VIST_MATCHER_H_

@@ -1,10 +1,13 @@
 // The central correctness property (DESIGN.md §4, invariant 5): ViST,
 // RIST, the naive suffix-tree algorithm, and the per-sequence oracle must
 // return identical answers on randomized corpora and queries — across
-// allocator strategies, λ values, and after deletions.
+// allocator strategies, λ values, and after deletions. Besides a fixed
+// query list, each parameter draws random leading chains, the shape the
+// matcher starts from (vist/matcher.h).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -40,6 +43,78 @@ std::string RandomXml(Random* rng, int max_depth) {
   return gen(0);
 }
 
+// A random query whose leading chain follows a root-to-element path of
+// `root`, so that names repeat along it and most queries have answers:
+//   - 1-5 steps at increasing path positions, each '/' or '//' and a name
+//     or '*' ('//' wherever positions are skipped);
+//   - optionally a predicate on a non-last step, so that a later query
+//     element hangs off the chain;
+//   - optionally a value or child predicate on the last step.
+// Predicates describe a child of the node they sit on, or else are random.
+std::string RandomChainQuery(const xml::Node& root, Random* rng) {
+  static const char* kNames[] = {"a", "b", "c", "d", "e"};
+  static const char* kValues[] = {"x", "y", "z", "w"};
+  std::vector<const xml::Node*> path = {&root};
+  for (;;) {
+    std::vector<const xml::Node*> kids;
+    for (const auto& child : path.back()->children()) {
+      if (child->is_element()) kids.push_back(child.get());
+    }
+    if (kids.empty()) break;
+    path.push_back(kids[rng->Uniform(kids.size())]);
+  }
+  auto predicate = [&](const xml::Node& node) -> std::string {
+    if (node.num_children() == 0 || rng->Bernoulli(0.2)) {
+      return "[" + std::string(kNames[rng->Uniform(5)]) + "='" +
+             kValues[rng->Uniform(4)] + "']";
+    }
+    const xml::Node& child = *node.child(rng->Uniform(node.num_children()));
+    if (child.is_text()) return "[text()='" + child.value() + "']";
+    if (child.is_attribute()) {
+      return "[" + child.name() + "='" + child.value() + "']";
+    }
+    const std::string text = child.Text();
+    if (!text.empty() && rng->Bernoulli(0.5)) {
+      return "[" + child.name() + "='" + text + "']";
+    }
+    return "[" + child.name() + "]";
+  };
+
+  // A random sample of 1-5 path positions, in path order.
+  std::vector<size_t> positions(path.size());
+  for (size_t i = 0; i < positions.size(); ++i) positions[i] = i;
+  const size_t steps = std::min<size_t>(1 + rng->Uniform(5), path.size());
+  for (size_t i = 0; i < steps; ++i) {
+    std::swap(positions[i],
+              positions[i + rng->Uniform(positions.size() - i)]);
+  }
+  positions.resize(steps);
+  std::sort(positions.begin(), positions.end());
+  const size_t predicated =
+      positions.size() > 1 && rng->Bernoulli(0.7)
+          ? rng->Uniform(positions.size() - 1)
+          : positions.size();
+  const bool end_predicate = rng->Bernoulli(0.6);
+  std::string query;
+  size_t next = 0;
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const xml::Node& node = *path[positions[i]];
+    const bool child = positions[i] == next && rng->Bernoulli(0.6);
+    query += child ? "/" : "//";
+    // A query needs a concrete last node: a bare trailing '*' is no query.
+    // A leading '//*' binds every node of the index, which makes the
+    // query slow without testing the chain, so a leading '*' is a child.
+    const bool star = rng->Bernoulli(0.25) &&
+                      (i + 1 < positions.size() || end_predicate) &&
+                      (i > 0 || child);
+    query += star ? std::string("*") : node.name();
+    if (i == predicated) query += predicate(node);
+    next = positions[i] + 1;
+  }
+  if (end_predicate) query += predicate(*path[positions.back()]);
+  return query;
+}
+
 const char* kQueries[] = {
     "/a",
     "/a/b",
@@ -58,6 +133,9 @@ const char* kQueries[] = {
     "/a[b[c][d]]",
     "/e//*[a]",
 };
+
+// Random chain queries per parameter, on top of kQueries.
+constexpr int kChainQueries = 240;
 
 struct EquivParam {
   uint64_t seed;
@@ -125,7 +203,16 @@ TEST_P(EquivalenceTest, AllEnginesAgree) {
   SequenceTrie trie;
   for (const auto& [id, seq] : docs) trie.Insert(seq, id);
 
-  for (const char* path : kQueries) {
+  std::vector<std::string> queries(std::begin(kQueries), std::end(kQueries));
+  Random query_rng(param.seed + 1);
+  for (int i = 0; i < kChainQueries; ++i) {
+    const auto& text = corpus[query_rng.Uniform(corpus.size())].second;
+    auto doc = xml::Parse(text);
+    ASSERT_TRUE(doc.ok());
+    queries.push_back(RandomChainQuery(*doc->root(), &query_rng));
+  }
+
+  for (const std::string& path : queries) {
     auto compiled = query::CompilePath(path, (*vist)->symbols() != nullptr
                                                  ? *(*vist)->symbols()
                                                  : symtab);
@@ -152,7 +239,7 @@ TEST_P(EquivalenceTest, AllEnginesAgree) {
         << corpus[i].first;
     sequences.erase(corpus[i].first);
   }
-  for (const char* path : kQueries) {
+  for (const std::string& path : queries) {
     auto compiled = query::CompilePath(path, symtab);
     ASSERT_TRUE(compiled.ok());
     std::vector<uint64_t> expected;

@@ -75,14 +75,19 @@ TEST_F(MatcherTest, SkippingDocIdCollectionStillMatches) {
 }
 
 TEST_F(MatcherTest, WildcardDepthExpansionBounded) {
-  // '//L' scans one depth bucket per possible prefix length, bounded by
-  // the index's max depth (2 here), not by kMaxPrefixDepth.
+  // '//L' scans one depth bucket per possible prefix length 0..max depth,
+  // bounded by the index's max depth, not by kMaxPrefixDepth. The value
+  // nodes under L make that depth 3 (prefix P/S/L), so 4 range scans.
   auto compiled = query::CompilePath("//L", *index_->symbols());
   ASSERT_TRUE(compiled.ok());
   obs::QueryProfile profile;
   auto ids = index_->QueryCompiled(*compiled, &profile);
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids->size(), 50u);
+  auto stats = index_->Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->max_depth, 3u);
+  EXPECT_EQ(profile.range_scans, stats->max_depth + 1);
 }
 
 TEST_F(MatcherTest, CorruptedIndexSurfacesCorruptionStatus) {
@@ -114,47 +119,66 @@ TEST_F(MatcherTest, CorruptedIndexSurfacesCorruptionStatus) {
   }
 }
 
-TEST(MatcherProfileTest, ExactIndexNodeAccessCounts) {
-  // A minimal deterministic workload: one document, one query, both trees
-  // a single page deep — so the page-access count of Algorithm 2 is an
-  // exact, stable number rather than a lower bound. Guards the
-  // ProfileScope delta accounting: any change here means the per-query
-  // index_nodes_accessed column in the benchmarks shifted too.
+// Builds an index over one document under a fresh directory, runs `path`
+// twice and returns the first profile; the second run must report the same
+// page-access count.
+obs::QueryProfile ProfileOneDocument(const std::string& xml,
+                                     const std::string& path) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("vist_matcher_profile_" + std::to_string(getpid()));
   std::filesystem::remove_all(dir);
-  auto index = VistIndex::Create(dir.string(), VistOptions());
-  ASSERT_TRUE(index.ok());
-  auto doc = xml::Parse("<a><b/></a>");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_TRUE((*index)->InsertDocument(*doc->root(), 1).ok());
-
-  auto compiled = query::CompilePath("/a/b", *(*index)->symbols());
-  ASSERT_TRUE(compiled.ok());
   obs::QueryProfile first, second;
-  auto ids = (*index)->QueryCompiled(*compiled, &first);
-  ASSERT_TRUE(ids.ok());
-  EXPECT_EQ(ids->size(), 1u);
-
-  // Over single-page trees every iterator seek costs exactly 1 page
-  // access: the root-to-leaf descent pins each page once and reads cells
-  // in place (no second leaf fetch). Algorithm 2 performs 7 seeks here:
-  // for each of 'a' and 'b', one seek to the D-key range, one to its
-  // S-Ancestor group, and one jump past the group that ends the scan
-  // (3 x 2 = 6), plus one DocId range seek for the matched 'b' — so
-  // 7 seeks x 1 page = 7 accesses.
-  EXPECT_EQ(first.index_nodes_accessed, 7u);
-  EXPECT_EQ(first.range_scans, 2u);
-  EXPECT_EQ(first.nodes_matched, 2u);
-  EXPECT_EQ(first.docid_range_scans, 1u);
-  EXPECT_EQ(first.candidates, 1u);
-
-  // Deterministic: a repeat run reports identical numbers.
-  auto again = (*index)->QueryCompiled(*compiled, &second);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(second.index_nodes_accessed, first.index_nodes_accessed);
-  index->reset();
+  [&] {
+    auto index = VistIndex::Create(dir.string(), VistOptions());
+    ASSERT_TRUE(index.ok());
+    auto doc = xml::Parse(xml);
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE((*index)->InsertDocument(*doc->root(), 1).ok());
+    auto compiled = query::CompilePath(path, *(*index)->symbols());
+    ASSERT_TRUE(compiled.ok());
+    auto ids = (*index)->QueryCompiled(*compiled, &first);
+    ASSERT_TRUE(ids.ok());
+    EXPECT_EQ(*ids, std::vector<uint64_t>{1}) << path;
+    // Deterministic: a repeat run reports identical numbers.
+    ASSERT_TRUE((*index)->QueryCompiled(*compiled, &second).ok());
+    EXPECT_EQ(second.index_nodes_accessed, first.index_nodes_accessed);
+  }();
   std::filesystem::remove_all(dir);
+  return first;
+}
+
+// Minimal deterministic workloads: one document, one query, both trees a
+// single page deep, so the page-access count of Algorithm 2 is an exact,
+// stable number rather than a lower bound. Over single-page trees every
+// iterator seek costs exactly 1 page access: the root-to-leaf descent pins
+// each page once and reads cells in place (no second leaf fetch). Guards
+// the ProfileScope delta accounting: any change here means the per-query
+// index_nodes_accessed column in the benchmarks shifted too.
+TEST(MatcherProfileTest, ExactIndexNodeAccessCounts) {
+  // '/a/b' is a leading chain a -> b ending in the concrete D-key (b, a).
+  // One seek goes straight to that group's S-Ancestor range and matches
+  // 'b'; 'a' is bound from b's prefix, with no seek and no matched node.
+  // One DocId range seek follows: 2 seeks x 1 page = 2 accesses.
+  const obs::QueryProfile profile = ProfileOneDocument("<a><b/></a>", "/a/b");
+  EXPECT_EQ(profile.index_nodes_accessed, 2u);
+  EXPECT_EQ(profile.range_scans, 1u);
+  EXPECT_EQ(profile.nodes_matched, 1u);
+  EXPECT_EQ(profile.docid_range_scans, 1u);
+  EXPECT_EQ(profile.candidates, 1u);
+}
+
+TEST(MatcherProfileTest, DirectSeekAfterTheChain) {
+  // '/a[b]/c' compiles to a, b, c with both b and c children of a. The
+  // chain a -> b ends at (b, a): 1 seek, and 'a' is bound from the prefix.
+  // 'c' then instantiates to the concrete D-key (c, a) and seeks straight
+  // into b's scope: 1 seek. Plus one DocId range seek: 3 accesses, 2 range
+  // scans, 2 matched nodes (b and c).
+  const obs::QueryProfile profile =
+      ProfileOneDocument("<a><b/><c/></a>", "/a[b]/c");
+  EXPECT_EQ(profile.index_nodes_accessed, 3u);
+  EXPECT_EQ(profile.range_scans, 2u);
+  EXPECT_EQ(profile.nodes_matched, 2u);
+  EXPECT_EQ(profile.docid_range_scans, 1u);
 }
 
 TEST_F(MatcherTest, EmptyAlternativesMatchNothing) {
