@@ -21,37 +21,12 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/node_index.h"
-#include "baseline/path_index.h"
 #include "bench_util.h"
-#include "datagen/dblp_gen.h"
-#include "datagen/xmark_gen.h"
 #include "exec/router.h"
-#include "vist/vist_index.h"
 
 namespace vist {
 namespace bench {
 namespace {
-
-struct QuerySpec {
-  const char* label;
-  const char* path;
-  bool dblp;  // else XMARK
-};
-
-// The E1 set (Table 3, Q6 adapted to real XMARK nesting — see DESIGN.md).
-constexpr QuerySpec kQueries[] = {
-    {"Q1", "/inproceedings/title", true},
-    {"Q2", "/book/author[text()='David']", true},
-    {"Q3", "/*/author[text()='David']", true},
-    {"Q4", "//author[text()='David']", true},
-    {"Q5", "/book[key='books/bc/MaierW88']/author", true},
-    {"Q6", "/site//item[location='US']/mailbox/mail/date[text()='12/15/1999']",
-     false},
-    {"Q7", "/site//person/*/city[text()='Pocatello']", false},
-    {"Q8", "//closed_auction[*[person='person1']]/date[text()='12/15/1999']",
-     false},
-};
 
 constexpr int kWarmupRuns = 20;  // per query: lets the feedback EWMA converge
 constexpr int kTimedRuns = 3;    // matches bench_table4's Iterations(3)
@@ -60,38 +35,19 @@ constexpr int kTimedRuns = 3;    // matches bench_table4's Iterations(3)
 // go through the router so its name statistics (selectivity input) see
 // the corpus, exactly as a served deployment would.
 struct Rig {
-  std::unique_ptr<ScratchDir> scratch;
-  std::unique_ptr<VistIndex> vist;
-  std::unique_ptr<PathIndex> paths;
-  std::unique_ptr<NodeIndex> nodes;
+  Engines engines;
   std::unique_ptr<exec::Router> router;
 };
 
 Rig BuildRig(const std::string& name, bool dblp, int records) {
   Rig rig;
-  rig.scratch = std::make_unique<ScratchDir>("router_" + name);
-  auto vist_index =
-      VistIndex::Create(rig.scratch->Sub("vist"), VistOptions());
-  CheckOk(vist_index.status(), "create vist");
-  rig.vist = std::move(vist_index).value();
-  auto paths = PathIndex::Create(rig.scratch->Sub("paths"),
-                                 rig.vist->symbols());
-  CheckOk(paths.status(), "create path index");
-  rig.paths = std::move(paths).value();
-  auto nodes = NodeIndex::Create(rig.scratch->Sub("nodes"),
-                                 rig.vist->symbols());
-  CheckOk(nodes.status(), "create node index");
-  rig.nodes = std::move(nodes).value();
-  rig.router = std::make_unique<exec::Router>(rig.vist.get(), rig.paths.get(),
-                                              rig.nodes.get());
-
-  DblpGenerator dblp_gen{DblpOptions{}};
-  XmarkGenerator xmark_gen{XmarkOptions{}};
-  for (int i = 0; i < records; ++i) {
-    xml::Document doc =
-        dblp ? dblp_gen.NextRecord(i) : xmark_gen.NextRecord(i);
-    CheckOk(rig.router->InsertDocument(*doc.root(), i + 1), "router insert");
-  }
+  rig.engines = CreateEngines("router_" + name);
+  rig.router = std::make_unique<exec::Router>(rig.engines.vist.get(),
+                                              rig.engines.paths.get(),
+                                              rig.engines.nodes.get());
+  GenerateCorpus(dblp, records, [&](const xml::Document& doc, uint64_t id) {
+    CheckOk(rig.router->InsertDocument(*doc.root(), id), "router insert");
+  });
   CheckOk(rig.router->Flush(), "router flush");
   return rig;
 }
@@ -136,23 +92,27 @@ int main() {
   // Warmup: round-robin so every query's feature bucket accumulates
   // enough observations for the learned costs to replace the priors.
   for (int i = 0; i < kWarmupRuns; ++i) {
-    for (const QuerySpec& query : kQueries) {
+    for (const QuerySpec& query : kTable3Queries) {
       Rig& rig = query.dblp ? dblp : xmark;
       CheckOk(rig.router->Query(query.path).status(), query.path);
     }
   }
 
   std::vector<Row> rows;
-  for (const QuerySpec& query : kQueries) {
+  for (const QuerySpec& query : kTable3Queries) {
     Rig& rig = query.dblp ? dblp : xmark;
+    Engines& engines = rig.engines;
     Row row;
     row.query = &query;
-    row.vist_ms = TimeQuery(query.path, &row.hits,
-                            [&](const char* p) { return rig.vist->Query(p); });
-    row.path_ms = TimeQuery(query.path, &row.hits,
-                            [&](const char* p) { return rig.paths->Query(p); });
-    row.node_ms = TimeQuery(query.path, &row.hits,
-                            [&](const char* p) { return rig.nodes->Query(p); });
+    row.vist_ms = TimeQuery(query.path, &row.hits, [&](const char* p) {
+      return engines.vist->Query(p);
+    });
+    row.path_ms = TimeQuery(query.path, &row.hits, [&](const char* p) {
+      return engines.paths->Query(p);
+    });
+    row.node_ms = TimeQuery(query.path, &row.hits, [&](const char* p) {
+      return engines.nodes->Query(p);
+    });
     row.router_ms = TimeQuery(
         query.path, &row.hits, [&](const char* p) { return rig.router->Query(p); });
     row.router_pick = exec::Router::EngineName(rig.router->last_pick());

@@ -12,95 +12,45 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "baseline/node_index.h"
-#include "baseline/path_index.h"
 #include "bench_util.h"
-#include "datagen/dblp_gen.h"
-#include "datagen/xmark_gen.h"
 #include "vist/rist_builder.h"
-#include "vist/vist_index.h"
 
 namespace vist {
 namespace bench {
 namespace {
 
-struct QuerySpec {
-  const char* label;
-  const char* path;
-  bool dblp;  // else XMARK
-};
-
-// Table 3, with Q6 adapted to real XMARK nesting (mailbox/mail) — see
-// DESIGN.md.
-constexpr QuerySpec kQueries[] = {
-    {"Q1", "/inproceedings/title", true},
-    {"Q2", "/book/author[text()='David']", true},
-    {"Q3", "/*/author[text()='David']", true},
-    {"Q4", "//author[text()='David']", true},
-    {"Q5", "/book[key='books/bc/MaierW88']/author", true},
-    {"Q6", "/site//item[location='US']/mailbox/mail/date[text()='12/15/1999']",
-     false},
-    {"Q7", "/site//person/*/city[text()='Pocatello']", false},
-    {"Q8", "//closed_auction[*[person='person1']]/date[text()='12/15/1999']",
-     false},
-};
-
-// One corpus (DBLP-like or XMARK-like) indexed by all four engines.
-struct Engines {
-  std::unique_ptr<ScratchDir> scratch;
-  std::unique_ptr<VistIndex> vist;
-  std::unique_ptr<RistIndex> rist;
-  std::unique_ptr<PathIndex> paths;
-  std::unique_ptr<NodeIndex> nodes;
-};
-
-Engines BuildEngines(const std::string& name, bool dblp, int records) {
+// One corpus (DBLP-like or XMARK-like) indexed by all four engines: the
+// shared three-engine rig plus RIST, built from the same sequences.
+struct Corpus {
   Engines engines;
-  engines.scratch = std::make_unique<ScratchDir>("table4_" + name);
-  auto vist_index =
-      VistIndex::Create(engines.scratch->Sub("vist"), VistOptions());
-  CheckOk(vist_index.status(), "create vist");
-  engines.vist = std::move(vist_index).value();
-  SymbolTable* symtab = engines.vist->symbols();
-  auto paths = PathIndex::Create(engines.scratch->Sub("paths"), symtab);
-  CheckOk(paths.status(), "create path index");
-  engines.paths = std::move(paths).value();
-  auto nodes = NodeIndex::Create(engines.scratch->Sub("nodes"), symtab);
-  CheckOk(nodes.status(), "create node index");
-  engines.nodes = std::move(nodes).value();
+  std::unique_ptr<RistIndex> rist;
+};
 
-  DblpGenerator dblp_gen{DblpOptions{}};
-  XmarkGenerator xmark_gen{XmarkOptions{}};
+Corpus BuildCorpus(const std::string& name, bool dblp, int records) {
+  Corpus corpus;
+  corpus.engines = CreateEngines("table4_" + name);
   std::vector<std::pair<uint64_t, Sequence>> sequences;
-  for (int i = 0; i < records; ++i) {
-    xml::Document doc =
-        dblp ? dblp_gen.NextRecord(i) : xmark_gen.NextRecord(i);
-    const uint64_t id = i + 1;
-    CheckOk(engines.vist->InsertDocument(*doc.root(), id), "vist insert");
-    Sequence seq = BuildSequence(*doc.root(), symtab);
-    CheckOk(engines.paths->InsertSequence(seq, id), "path insert");
-    CheckOk(engines.nodes->InsertDocument(*doc.root(), id), "node insert");
-    sequences.emplace_back(id, std::move(seq));
-  }
-  auto rist =
-      RistIndex::Build(engines.scratch->Sub("rist"), sequences, symtab);
+  LoadEngines(&corpus.engines, dblp, records, &sequences);
+  auto rist = RistIndex::Build(corpus.engines.scratch->Sub("rist"), sequences,
+                               corpus.engines.vist->symbols());
   CheckOk(rist.status(), "build rist");
-  engines.rist = std::move(rist).value();
-  return engines;
+  corpus.rist = std::move(rist).value();
+  return corpus;
 }
 
-Engines& DblpEngines() {
-  static Engines engines = BuildEngines("dblp", true, Scaled(20000));
-  return engines;
+Corpus& DblpCorpus() {
+  static Corpus corpus = BuildCorpus("dblp", true, Scaled(20000));
+  return corpus;
 }
-Engines& XmarkEngines() {
-  static Engines engines = BuildEngines("xmark", false, Scaled(20000));
-  return engines;
+Corpus& XmarkCorpus() {
+  static Corpus corpus = BuildCorpus("xmark", false, Scaled(20000));
+  return corpus;
 }
 
 // Average ms per (query, engine), for the printed summary.
@@ -144,7 +94,8 @@ void RunEngine(benchmark::State& state, const QuerySpec& query, Fn&& run) {
 
 void BM_Query(benchmark::State& state, const QuerySpec& query,
               const char* engine) {
-  Engines& engines = query.dblp ? DblpEngines() : XmarkEngines();
+  Corpus& corpus = query.dblp ? DblpCorpus() : XmarkCorpus();
+  Engines& engines = corpus.engines;
   auto start = std::chrono::steady_clock::now();
   if (std::string(engine) == "ViST") {
     RunEngine(state, query,
@@ -155,7 +106,7 @@ void BM_Query(benchmark::State& state, const QuerySpec& query,
               });
   } else if (std::string(engine) == "RIST") {
     RunEngine(state, query, [&](const char* path, obs::QueryProfile* profile) {
-      return engines.rist->Query(path, profile);
+      return corpus.rist->Query(path, profile);
     });
   } else if (std::string(engine) == "PathIndex") {
     RunEngine(state, query, [&](const char* path, obs::QueryProfile* profile) {
@@ -178,7 +129,7 @@ void BM_Query(benchmark::State& state, const QuerySpec& query,
 }
 
 void RegisterAll() {
-  for (const QuerySpec& query : kQueries) {
+  for (const QuerySpec& query : kTable3Queries) {
     for (const char* engine : {"ViST", "RIST", "PathIndex", "NodeIndex"}) {
       std::string name = std::string("BM_Table4/") + query.label + "_" +
                          engine + (query.dblp ? "_dblp" : "_xmark");
@@ -197,7 +148,7 @@ void PrintSummary() {
   printf("\n=== Table 4 reproduction: query time (ms) ===\n");
   printf("%-4s %-10s %8s %8s %12s %12s\n", "", "dataset", "ViST", "RIST",
          "PathIndex", "NodeIndex");
-  for (const QuerySpec& query : kQueries) {
+  for (const QuerySpec& query : kTable3Queries) {
     const auto& row = Summary()[query.label];
     auto cell = [&](const char* engine) {
       auto it = row.find(engine);

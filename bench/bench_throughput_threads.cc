@@ -22,65 +22,28 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/node_index.h"
-#include "baseline/path_index.h"
 #include "bench_util.h"
-#include "datagen/dblp_gen.h"
 #include "obs/query_profile.h"
-#include "vist/vist_index.h"
 
 namespace vist {
 namespace bench {
 namespace {
 
-struct QuerySpec {
-  const char* label;
-  const char* path;
-};
-
-// Table 3's DBLP queries (Q6-Q8 are XMARK; one corpus is enough here —
-// the lock shape under test does not depend on the dataset).
-constexpr QuerySpec kQueries[] = {
-    {"Q1", "/inproceedings/title"},
-    {"Q2", "/book/author[text()='David']"},
-    {"Q3", "/*/author[text()='David']"},
-    {"Q4", "//author[text()='David']"},
-    {"Q5", "/book[key='books/bc/MaierW88']/author"},
-};
+// Table 3's DBLP queries, Q1-Q5 (Q6-Q8 are XMARK; one corpus is enough
+// here — the lock shape under test does not depend on the dataset).
+const std::vector<QuerySpec> kQueries = [] {
+  std::vector<QuerySpec> dblp;
+  for (const QuerySpec& query : kTable3Queries) {
+    if (query.dblp) dblp.push_back(query);
+  }
+  return dblp;
+}();
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 constexpr int kWindowMs = 400;
 
-struct Engines {
-  std::unique_ptr<ScratchDir> scratch;
-  std::unique_ptr<VistIndex> vist;
-  std::unique_ptr<PathIndex> paths;
-  std::unique_ptr<NodeIndex> nodes;
-};
-
 Engines BuildEngines(int records) {
-  Engines engines;
-  engines.scratch = std::make_unique<ScratchDir>("throughput");
-  auto vist_index =
-      VistIndex::Create(engines.scratch->Sub("vist"), VistOptions());
-  CheckOk(vist_index.status(), "create vist");
-  engines.vist = std::move(vist_index).value();
-  SymbolTable* symtab = engines.vist->symbols();
-  auto paths = PathIndex::Create(engines.scratch->Sub("paths"), symtab);
-  CheckOk(paths.status(), "create path index");
-  engines.paths = std::move(paths).value();
-  auto nodes = NodeIndex::Create(engines.scratch->Sub("nodes"), symtab);
-  CheckOk(nodes.status(), "create node index");
-  engines.nodes = std::move(nodes).value();
-
-  DblpGenerator gen{DblpOptions{}};
-  for (int i = 0; i < records; ++i) {
-    xml::Document doc = gen.NextRecord(i);
-    const uint64_t id = i + 1;
-    CheckOk(engines.vist->InsertDocument(*doc.root(), id), "vist insert");
-    Sequence seq = BuildSequence(*doc.root(), symtab);
-    CheckOk(engines.paths->InsertSequence(seq, id), "path insert");
-    CheckOk(engines.nodes->InsertDocument(*doc.root(), id), "node insert");
-  }
+  Engines engines = CreateEngines("throughput");
+  LoadEngines(&engines, /*dblp=*/true, records);
   CheckOk(engines.vist->Flush(), "vist flush");
   return engines;
 }
@@ -131,7 +94,7 @@ Cell MeasureCell(const QueryFn& run, int threads) {
     workers.emplace_back([&, t] {
       uint64_t mine = 0;
       for (size_t i = t; !stop.load(std::memory_order_acquire); ++i, ++mine) {
-        auto ids = run(kQueries[i % std::size(kQueries)].path, nullptr);
+        auto ids = run(kQueries[i % kQueries.size()].path, nullptr);
         CheckOk(ids.status(), "threaded query");
       }
       completed.fetch_add(mine, std::memory_order_relaxed);

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -109,10 +110,9 @@ int CmdSplitAdd(int argc, char** argv) {
   if (!index.ok()) return Fail(index.status());
   auto doc = vist::xml::ParseFile(argv[1]);
   if (!doc.ok()) return Fail(doc.status());
-  vist::SplitOptions split;
-  for (int i = 2; i < argc; ++i) split.split_elements.insert(argv[i]);
+  const std::set<std::string> split_elements(argv + 2, argv + argc);
   std::vector<vist::xml::Document> records =
-      vist::SplitDocument(*doc->root(), split);
+      vist::SplitDocument(*doc->root(), split_elements);
   printf("split into %zu records\n", records.size());
   return AddDocuments(index->get(), records);
 }

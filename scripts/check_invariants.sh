@@ -9,9 +9,8 @@
 # VIST_DEADLOCK_DEBUG=ON.
 #
 # Exit 77 ("skip, don't fail" — same convention as check_static.sh) when
-# python3 is unavailable on this host. The linter's default engine is
-# dependency-free; --engine=libclang is an optional AST-precision upgrade
-# that itself exits 77 without the bindings.
+# python3 is unavailable on this host. The linter itself is
+# dependency-free.
 # Usage: scripts/check_invariants.sh [--edges FILE]
 set -euo pipefail
 

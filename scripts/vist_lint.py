@@ -14,11 +14,7 @@ docs/STATIC_ANALYSIS.md), on the whole tree including tests/ and bench/:
 
 The engine is a dependency-free lexical analyzer (comment/string
 stripping and regular expressions over the real sources), so the gate
-runs on any box with python3. When the libclang python bindings are
-available, `--engine=libclang` re-resolves [raw-mutex] hits through the
-AST to rule out false positives from exotic token sequences; without the
-bindings that mode exits 77 (the repo-wide "skip, don't fail" convention — see
-scripts/check_static.sh).
+runs on any box with python3.
 
 Beyond linting, this script owns the lock-rank table in
 src/common/lock_ranks.h as machine-readable data:
@@ -36,7 +32,7 @@ src/common/lock_ranks.h as machine-readable data:
                        (classes flagged unordered are exempt from the
                        order check; the runtime cycle detector owns them)
 
-Exit codes: 0 clean, 1 findings, 2 usage/internal error, 77 skipped.
+Exit codes: 0 clean, 1 findings, 2 usage/internal error.
 """
 
 import argparse
@@ -287,64 +283,13 @@ def check_edges(root, dump_path):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Optional libclang refinement
-
-
-def libclang_available():
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-def refine_raw_mutex_with_libclang(root, findings):
-    """Re-checks [raw-mutex] findings through the AST: a hit survives only
-    if the file's translation unit really references the std lock type.
-    Precision upgrade only — the lexical engine already stripped comments
-    and strings, so in practice this is a no-op confirmation pass."""
-    import clang.cindex as ci
-    confirmed = []
-    by_file = {}
-    for f in findings:
-        if f.rule == "raw-mutex":
-            by_file.setdefault(f.path, []).append(f)
-        else:
-            confirmed.append(f)
-    index = ci.Index.create()
-    for path, file_findings in by_file.items():
-        try:
-            tu = index.parse(str(root / path),
-                             args=["-std=c++20", f"-I{root / 'src'}"])
-        except ci.TranslationUnitLoadError:
-            confirmed.extend(file_findings)  # cannot parse: keep the hits
-            continue
-        referenced = set()
-        for cursor in tu.cursor.walk_preorder():
-            if cursor.kind.is_reference() or cursor.kind.is_declaration():
-                name = cursor.spelling or ""
-                if name in RAW_MUTEX_TYPES:
-                    referenced.add(cursor.location.line)
-        for f in file_findings:
-            if f.line in referenced or not referenced:
-                confirmed.append(f)
-    return confirmed
-
-
-# ---------------------------------------------------------------------------
-
-
-def run_lint(root, engine):
+def run_lint(root):
     findings = []
     for path in iter_source_files(root):
         text = path.read_text(errors="replace")
         original_lines = text.splitlines()
         stripped = strip_comments_and_strings(text)
         findings += check_raw_mutex(root, path, original_lines, stripped)
-
-    if engine == "libclang":
-        findings = refine_raw_mutex_with_libclang(root, findings)
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)
@@ -360,11 +305,6 @@ def main():
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="repository root to lint (default: this repo)")
-    parser.add_argument("--engine", choices=["lexical", "libclang"],
-                        default="lexical",
-                        help="lexical (dependency-free, default) or "
-                             "libclang (AST-refined; exits 77 when the "
-                             "bindings are absent)")
     parser.add_argument("--lock-table", action="store_true",
                         help="print the markdown lock table generated from "
                              "src/common/lock_ranks.h and exit")
@@ -389,13 +329,7 @@ def main():
     if args.check_edges:
         return check_edges(root, args.check_edges)
 
-    if args.engine == "libclang" and not libclang_available():
-        print("vist_lint: libclang python bindings not available; "
-              "skipping (exit 77). The lexical engine needs no "
-              "dependencies: rerun with --engine=lexical.", file=sys.stderr)
-        return 77
-
-    return run_lint(root, args.engine)
+    return run_lint(root)
 
 
 if __name__ == "__main__":

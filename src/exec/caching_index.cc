@@ -44,7 +44,6 @@ std::string CacheKey(std::string_view normalized_path,
   std::string key(normalized_path);
   key.push_back('\0');
   key.push_back(options.verify ? 'v' : '-');
-  key += std::to_string(options.max_alternatives);
   return key;
 }
 

@@ -86,8 +86,6 @@ struct QueryOptions {
   /// real tree embedding against the stored document. Requires
   /// store_documents (engines without a document store reject it).
   bool verify = false;
-  /// Cap on branching-query permutation expansion.
-  size_t max_alternatives = 64;
   /// Optional per-query EXPLAIN/profile sink (see obs/query_profile.h):
   /// receives index-node accesses, buffer-pool hits/misses, range-scan
   /// extents, candidate vs. verified result counts, and wall time. The

@@ -14,6 +14,15 @@ namespace {
 // Weight of the newest observation in the per-bucket cost EWMA.
 constexpr double kEwmaAlpha = 0.25;
 
+// After a bucket is warm, every Nth query in it runs on the
+// least-recently-observed engine instead of the predicted-cheapest, so
+// estimates for the non-preferred engines never go stale.
+constexpr uint64_t kExploreEvery = 64;
+
+// Observations each engine needs in a bucket before its EWMA replaces the
+// static prior (and before the bucket counts as warm).
+constexpr uint64_t kMinObservations = 3;
+
 // Quantizes selectivity into coarse log10 bands: postings holding ≥10% of
 // the corpus behave nothing like the ones holding <0.1%, but finer
 // distinctions than a decade don't change which engine wins.
@@ -163,13 +172,11 @@ const char* Router::EngineName(Engine engine) {
   return "";
 }
 
-Router::Router(VistIndex* vist, PathIndex* paths, NodeIndex* nodes,
-               const RouterOptions& options)
+Router::Router(VistIndex* vist, PathIndex* paths, NodeIndex* nodes)
     : QueryableIndex(LockRank::kRouter),
       vist_(vist),
       paths_(paths),
-      nodes_(nodes),
-      options_(options) {
+      nodes_(nodes) {
   VIST_CHECK(vist != nullptr && paths != nullptr && nodes != nullptr);
   name_stats_.Store(std::make_shared<const NameStats>());
   // Publish the initial composite snapshot (of a possibly pre-loaded
@@ -207,8 +214,7 @@ Status Router::FanOut(const xml::Node& root, uint64_t doc_id, bool insert) {
   return Mutate([&](uint64_t epoch) -> Status {
     VIST_RETURN_IF_ERROR(insert ? vist_->InsertDocument(root, doc_id)
                                 : vist_->DeleteDocument(root, doc_id));
-    const Sequence sequence =
-        BuildSequence(root, vist_->symbols(), vist_->options().sequence);
+    const Sequence sequence = BuildSequence(root, vist_->symbols());
     VIST_RETURN_IF_ERROR(insert ? paths_->InsertSequence(sequence, doc_id)
                                 : paths_->DeleteSequence(sequence, doc_id));
     VIST_RETURN_IF_ERROR(insert ? nodes_->InsertDocument(root, doc_id)
@@ -372,7 +378,7 @@ std::vector<Router::Engine> Router::RankEngines(uint32_t bucket_key,
     Scored entry;
     entry.engine = static_cast<Engine>(i);
     entry.observations = stat.observations;
-    entry.cost = stat.observations >= options_.min_observations
+    entry.cost = stat.observations >= kMinObservations
                      ? stat.ewma_cost
                      : StaticCost(i, features, selectivity);
     scored.push_back(entry);
@@ -388,11 +394,9 @@ std::vector<Router::Engine> Router::RankEngines(uint32_t bucket_key,
                                 [](const Scored& a, const Scored& b) {
                                   return a.observations < b.observations;
                                 });
-  const bool probe_due =
-      options_.explore_every > 0 &&
-      bucket.queries % options_.explore_every == 0;
+  const bool probe_due = bucket.queries % kExploreEvery == 0;
   if (least != scored.begin() &&
-      (least->observations < options_.min_observations || probe_due)) {
+      (least->observations < kMinObservations || probe_due)) {
     std::rotate(scored.begin(), least, least + 1);
     explorations.Increment();
   }
@@ -415,7 +419,7 @@ void Router::RecordObservation(uint32_t bucket_key, Engine engine,
     size_t qualified = 0;
     for (size_t i = 0; i < kNumEngines; ++i) {
       const EngineStat& stat = bucket.engines[i];
-      if (stat.observations < options_.min_observations) continue;
+      if (stat.observations < kMinObservations) continue;
       ++qualified;
       if (best < 0 || stat.ewma_cost < bucket.engines[best].ewma_cost) {
         best = static_cast<int>(i);

@@ -21,7 +21,7 @@
 //     bucket, the EWMAs replace the prior — so a mispredicting prior
 //     self-corrects under live traffic (`router.mispick_corrections`).
 //     Cold buckets round-robin the engines to gather observations, and a
-//     periodic exploration query (RouterOptions::explore_every) keeps the
+//     periodic exploration query (every 64th in a warm bucket) keeps the
 //     non-preferred engines' estimates fresh.
 //
 // Composition contract (the reason the router is itself a
@@ -71,17 +71,6 @@
 namespace vist {
 namespace exec {
 
-struct RouterOptions {
-  /// After a bucket is warm, every Nth query in it runs on the
-  /// least-recently-observed engine instead of the predicted-cheapest, so
-  /// estimates for the non-preferred engines never go stale. 0 disables
-  /// periodic exploration (cold-start round-robin still happens).
-  size_t explore_every = 64;
-  /// Observations each engine needs in a bucket before its EWMA replaces
-  /// the static prior (and before the bucket counts as warm).
-  uint64_t min_observations = 3;
-};
-
 class RouterSnapshot;
 
 /// Routes queries across the three engines. All engines are borrowed,
@@ -98,8 +87,7 @@ class Router : public QueryableIndex {
 
   static const char* EngineName(Engine engine);
 
-  Router(VistIndex* vist, PathIndex* paths, NodeIndex* nodes,
-         const RouterOptions& options = {});
+  Router(VistIndex* vist, PathIndex* paths, NodeIndex* nodes);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -187,7 +175,6 @@ class Router : public QueryableIndex {
   VistIndex* const vist_;
   PathIndex* const paths_;
   NodeIndex* const nodes_;
-  const RouterOptions options_;
 
   /// Copy-on-write corpus name statistics feeding selectivity estimates:
   /// the fan-out replaces the whole object under the writer lock; queries

@@ -78,7 +78,6 @@ std::vector<std::vector<const QueryNode*>> ChildOrders(const QueryNode& node,
 // of child orders below this node (cartesian product, capped).
 struct Emitter {
   const SymbolTable& symtab;
-  size_t cap;
   bool unknown_name = false;
 
   // Emits `node` into every sequence in `acc`, then recursively its
@@ -116,9 +115,10 @@ struct Emitter {
     }
     if (node.children.empty()) return acc;
 
-    // cap + 1 so that an over-cap expansion is detected below rather than
-    // silently truncated (dropping alternatives would drop matches).
-    auto orders = ChildOrders(node, cap + 1);
+    // kMaxAlternatives + 1 so that an over-cap expansion is detected below
+    // rather than silently truncated (dropping alternatives would drop
+    // matches).
+    auto orders = ChildOrders(node, kMaxAlternatives + 1);
     std::vector<QuerySequence> result;
     for (const auto& order : orders) {
       std::vector<QuerySequence> branch = acc;
@@ -130,7 +130,7 @@ struct Emitter {
       }
       for (QuerySequence& seq : branch) {
         result.push_back(std::move(seq));
-        if (result.size() > cap) {
+        if (result.size() > kMaxAlternatives) {
           return Status::NotSupported(
               "query expands to too many alternative sequences "
               "(same-named branches / wildcard siblings)");
@@ -144,10 +144,9 @@ struct Emitter {
 }  // namespace
 
 Result<CompiledQuery> CompileQuery(const QueryTree& tree,
-                                   const SymbolTable& symtab,
-                                   const CompileOptions& options) {
+                                   const SymbolTable& symtab) {
   VIST_CHECK(tree.root != nullptr);
-  Emitter emitter{symtab, options.max_alternatives};
+  Emitter emitter{symtab};
   std::vector<QuerySequence> seed(1);
   VIST_ASSIGN_OR_RETURN(
       std::vector<QuerySequence> alternatives,
@@ -185,11 +184,10 @@ Result<CompiledQuery> CompileQuery(const QueryTree& tree,
 }
 
 Result<CompiledQuery> CompilePath(std::string_view path,
-                                  const SymbolTable& symtab,
-                                  const CompileOptions& options) {
+                                  const SymbolTable& symtab) {
   VIST_ASSIGN_OR_RETURN(PathExpr expr, ParsePath(path));
   VIST_ASSIGN_OR_RETURN(QueryTree tree, BuildQueryTree(expr));
-  return CompileQuery(tree, symtab, options);
+  return CompileQuery(tree, symtab);
 }
 
 namespace {

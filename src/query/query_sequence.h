@@ -54,13 +54,11 @@ struct QuerySequenceElement {
 
 using QuerySequence = std::vector<QuerySequenceElement>;
 
-struct CompileOptions {
-  /// Upper bound on the number of alternative sequences produced by
-  /// permutation expansion; exceeding it is a NotSupported error (the
-  /// paper's fallback for this case — disassembling into joined
-  /// sub-queries — trades away the very join-freedom ViST exists for).
-  size_t max_alternatives = 64;
-};
+/// Upper bound on the number of alternative sequences produced by
+/// permutation expansion; exceeding it is a NotSupported error (the
+/// paper's fallback for this case — disassembling into joined
+/// sub-queries — trades away the very join-freedom ViST exists for).
+inline constexpr size_t kMaxAlternatives = 64;
 
 /// A compiled query: the union of its alternative sequences. An empty
 /// `alternatives` vector means the query provably matches nothing (it names
@@ -71,13 +69,11 @@ struct CompiledQuery {
 
 /// Compiles a query tree against the index's symbol table.
 Result<CompiledQuery> CompileQuery(const QueryTree& tree,
-                                   const SymbolTable& symtab,
-                                   const CompileOptions& options = {});
+                                   const SymbolTable& symtab);
 
 /// Convenience: parse + lower + compile a path-expression string.
 Result<CompiledQuery> CompilePath(std::string_view path,
-                                  const SymbolTable& symtab,
-                                  const CompileOptions& options = {});
+                                  const SymbolTable& symtab);
 
 /// Reference matcher with exactly the index's semantics (Algorithm 2 on a
 /// single sequence): used as the test oracle and by the naive baseline.

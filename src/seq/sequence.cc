@@ -25,8 +25,7 @@ std::vector<const xml::Node*> NormalizedChildren(const xml::Node& node) {
 }
 
 void EmitSubtree(const xml::Node& node, SymbolTable* symtab,
-                 const SequenceOptions& options, std::vector<Symbol>* path,
-                 Sequence* out) {
+                 std::vector<Symbol>* path, Sequence* out) {
   const Symbol symbol = symtab->Intern(node.name());
   out->push_back({symbol, *path});
 
@@ -34,10 +33,10 @@ void EmitSubtree(const xml::Node& node, SymbolTable* symtab,
   // Value children first: the node's own value binds tighter than any
   // sub-structure. Attributes contribute their value; elements their text.
   if (node.is_attribute()) {
-    if (options.include_attribute_values && !node.value().empty()) {
+    if (!node.value().empty()) {
       out->push_back({SymbolTable::ValueSymbol(node.value()), *path});
     }
-  } else if (options.include_text) {
+  } else {
     for (const auto& child : node.children()) {
       if (child->is_text() && !child->value().empty()) {
         out->push_back({SymbolTable::ValueSymbol(child->value()), *path});
@@ -45,20 +44,19 @@ void EmitSubtree(const xml::Node& node, SymbolTable* symtab,
     }
   }
   for (const xml::Node* child : NormalizedChildren(node)) {
-    EmitSubtree(*child, symtab, options, path, out);
+    EmitSubtree(*child, symtab, path, out);
   }
   path->pop_back();
 }
 
 }  // namespace
 
-Sequence BuildSequence(const xml::Node& root, SymbolTable* symtab,
-                       const SequenceOptions& options) {
+Sequence BuildSequence(const xml::Node& root, SymbolTable* symtab) {
   VIST_CHECK(!root.is_text()) << "cannot build a sequence from a text node";
   Sequence out;
   out.reserve(root.SubtreeSize());
   std::vector<Symbol> path;
-  EmitSubtree(root, symtab, options, &path, &out);
+  EmitSubtree(root, symtab, &path, &out);
   return out;
 }
 

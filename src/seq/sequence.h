@@ -36,18 +36,11 @@ struct SequenceElement {
 /// A full structure-encoded sequence.
 using Sequence = std::vector<SequenceElement>;
 
-struct SequenceOptions {
-  /// Treat element text content as value symbols (on by default: the paper
-  /// indexes content and structure together).
-  bool include_text = true;
-  /// Treat attribute values as value symbols.
-  bool include_attribute_values = true;
-};
-
 /// Converts a document subtree rooted at `root` into its structure-encoded
-/// sequence, interning names into `symtab`.
-Sequence BuildSequence(const xml::Node& root, SymbolTable* symtab,
-                       const SequenceOptions& options = SequenceOptions());
+/// sequence, interning names into `symtab`. Element text and attribute
+/// values become value symbols: the paper indexes content and structure
+/// together.
+Sequence BuildSequence(const xml::Node& root, SymbolTable* symtab);
 
 /// True when query prefix `pattern` (which may contain kStarSymbol /
 /// kDescendantSymbol) matches the concrete `prefix`.

@@ -12,6 +12,9 @@ namespace server {
 
 namespace {
 
+// Retry-budget tokens each successful response refills.
+constexpr double kRetryRefillPerSuccess = 0.1;
+
 // Metric reference: docs/OBSERVABILITY.md (server section).
 obs::Counter& RetriesCounter() {
   static obs::Counter& c = obs::GetCounter("client.retries");
@@ -127,7 +130,7 @@ Result<Response> Client::Call(Request request, bool idempotent) {
         } else {
           retry_tokens_ = std::min(
               options_.retry_budget,
-              retry_tokens_ + options_.retry_refill_per_success);
+              retry_tokens_ + kRetryRefillPerSuccess);
           if (resp->status != WireStatus::kOk) {
             return FromWireStatus(resp->status, resp->message);
           }

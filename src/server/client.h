@@ -72,10 +72,9 @@ struct ClientOptions {
 
   /// Token-bucket retry budget: a retry costs one token and is skipped
   /// (the error surfaces) when none are left; every successful response
-  /// refills retry_refill_per_success, up to retry_budget. Keeps retry
+  /// refills a tenth of a token, up to retry_budget. Keeps retry
   /// amplification bounded when the server is down rather than slow.
   double retry_budget = 10.0;
-  double retry_refill_per_success = 0.1;
 
   /// Seed for the backoff jitter (deterministic for tests).
   uint64_t jitter_seed = 1;

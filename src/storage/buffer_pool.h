@@ -172,7 +172,6 @@ class BufferPool {
   void SimulateCrashForTesting();
 
   size_t capacity() const { return capacity_; }
-  size_t shard_count() const { return shards_.size(); }
   uint64_t hit_count() const {
     return hits_.load(std::memory_order_relaxed);
   }

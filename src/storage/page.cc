@@ -15,7 +15,6 @@ constexpr size_t kNumCellsOffset = 2;
 constexpr size_t kContentStartOffset = 4;
 constexpr size_t kFragBytesOffset = 6;
 constexpr size_t kNextOffset = 8;
-constexpr size_t kPrevOffset = 16;
 
 // Parses the varint at p (bounded by limit), returning the value and
 // advancing *p. Page contents are trusted (we wrote them), so a malformed
@@ -38,7 +37,6 @@ void NodePage::Init(uint8_t type) {
                   static_cast<uint16_t>(page_size_));
   EncodeFixed16LE(data_ + kFragBytesOffset, 0);
   EncodeFixed64LE(data_ + kNextOffset, kInvalidPageId);
-  EncodeFixed64LE(data_ + kPrevOffset, kInvalidPageId);
 }
 
 uint8_t NodePage::type() const {
@@ -73,8 +71,6 @@ uint16_t NodePage::num_cells() const {
 
 PageId NodePage::next() const { return DecodeFixed64LE(data_ + kNextOffset); }
 void NodePage::set_next(PageId id) { EncodeFixed64LE(data_ + kNextOffset, id); }
-PageId NodePage::prev() const { return DecodeFixed64LE(data_ + kPrevOffset); }
-void NodePage::set_prev(PageId id) { EncodeFixed64LE(data_ + kPrevOffset, id); }
 
 uint16_t NodePage::CellOffset(int i) const {
   return DecodeFixed16LE(data_ + kPageHeaderSize + 2 * i);

@@ -6,11 +6,15 @@
 //   2   u16  cell count
 //   4   u16  content start (lowest byte used by cell content)
 //   6   u16  fragmented bytes (reclaimable by Defragment)
-//   8   u64  leaf: right-sibling page id  | internal: leftmost child page id
-//   16  u64  leaf: left-sibling page id   | internal: unused
+//   8   u64  internal: leftmost child page id | leaf: unused
+//   16  u64  reserved (zero)
 //   24  u16  slot[cell count]   — offsets of cells, sorted by key
 //   ...      free space
 //   ...      cell content, growing down from the page end
+//
+// Copy-on-write updates shadow a leaf without touching its neighbours, so
+// leaves carry no sibling links; scans move between leaves through the
+// parent path.
 //
 // Leaf cell:     varint key_len, varint value_len, key bytes, value bytes
 // Internal cell: varint key_len, key bytes, u64 child page id
@@ -58,12 +62,9 @@ class NodePage {
   bool is_leaf() const { return type() == kLeafPage; }
   uint16_t num_cells() const;
 
-  /// Leaf right sibling / internal leftmost child.
+  /// Internal leftmost child (unused on leaves).
   PageId next() const;
   void set_next(PageId id);
-  /// Leaf left sibling.
-  PageId prev() const;
-  void set_prev(PageId id);
 
   /// Key of cell i (valid for both node types).
   Slice Key(int i) const;

@@ -121,9 +121,6 @@ class VersionManager {
   /// Forgets all reclaim state without touching the (crashed) pager.
   void AbandonForCrash();
 
-  /// Pages currently awaiting reclamation (test/debug visibility).
-  size_t limbo_size() const { return limbo_.size(); }
-
  private:
   struct LimboPage {
     PageId id;

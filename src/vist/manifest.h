@@ -41,9 +41,10 @@ inline constexpr char kNamePrefix[] = "n";
 inline constexpr char kStatsPrefix[] = "s";
 std::string NameKey(Symbol symbol);
 
-/// The persisted subset of VistOptions as one record. Runtime-only fields
-/// (buffer pool size, durability, env, stats pointer) are not stored, nor
-/// is page_size, which index.db's header records.
+/// The persisted subset of VistOptions (allocator, lambda,
+/// store_documents) as one record. Runtime-only fields (buffer pool size,
+/// durability, env, stats pointer) are not stored, nor is page_size, which
+/// index.db's header records.
 std::string EncodeManifest(const VistOptions& options);
 
 /// Overwrites the persisted fields of `*options` from `record`;

@@ -14,9 +14,8 @@ constexpr uint64_t kMinFormulaScope = 2;
 
 }  // namespace
 
-UniformScopeAllocator::UniformScopeAllocator(uint64_t lambda,
-                                             uint64_t reserve_divisor)
-    : ScopeAllocator(reserve_divisor), lambda_(lambda < 2 ? 2 : lambda) {}
+UniformScopeAllocator::UniformScopeAllocator(uint64_t lambda)
+    : lambda_(lambda < 2 ? 2 : lambda) {}
 
 Scope UniformScopeAllocator::AllocateChild(NodeRecord* parent,
                                            Symbol /*parent_symbol*/,
@@ -36,13 +35,8 @@ Scope UniformScopeAllocator::AllocateChild(NodeRecord* parent,
 }
 
 StatisticalScopeAllocator::StatisticalScopeAllocator(const SchemaStats* stats,
-                                                     uint64_t fallback_lambda,
-                                                     uint64_t reserve_divisor,
-                                                     uint64_t other_divisor)
-    : ScopeAllocator(reserve_divisor),
-      stats_(stats),
-      fallback_(fallback_lambda, reserve_divisor),
-      other_divisor_(other_divisor < 2 ? 2 : other_divisor) {
+                                                     uint64_t fallback_lambda)
+    : stats_(stats), fallback_(fallback_lambda) {
   VIST_CHECK(stats_ != nullptr);
 }
 
@@ -60,7 +54,7 @@ Scope StatisticalScopeAllocator::AllocateChild(NodeRecord* parent,
   const uint64_t region_hi = UsableEnd(*parent);
   if (region_hi <= region_lo) return {};
   const uint64_t region = region_hi - region_lo;
-  const uint64_t known_region = region - region / other_divisor_;
+  const uint64_t known_region = region - region / kOtherDivisor;
 
   // Cumulative counts over the known (non-ε) follow set, Eq. (3)-(4): the
   // i-th member's slot is proportional to its successor probability.
@@ -95,7 +89,7 @@ Scope StatisticalScopeAllocator::AllocateChild(NodeRecord* parent,
   if (parent->next_free < other_lo) parent->next_free = other_lo;
   if (parent->next_free >= region_hi) return {};
   const uint64_t remaining = region_hi - parent->next_free;
-  const uint64_t child_size = remaining / other_divisor_;
+  const uint64_t child_size = remaining / kOtherDivisor;
   if (child_size < kMinFormulaScope) return {};
   Scope scope{parent->next_free, child_size};
   parent->next_free += child_size;

@@ -13,7 +13,7 @@
 //    of the same child always land on the same subscope. Symbols never seen
 //    in the sample share an "other" bucket allocated uniformly.
 //
-// Both reserve a configurable tail fraction of every scope for the
+// Both reserve the tail 1/kReserveDivisor of every scope for the
 // scope-underflow runs of §3.4.1, carved by the index itself (see
 // vist_index.cc) via the record's seq_cursor.
 
@@ -27,6 +27,11 @@
 #include "vist/scope.h"
 
 namespace vist {
+
+/// 1/d of every scope is reserved for scope-underflow runs.
+inline constexpr uint64_t kReserveDivisor = 16;
+/// Statistical allocator: 1/d of the usable region goes to unseen symbols.
+inline constexpr uint64_t kOtherDivisor = 8;
 
 class ScopeAllocator {
  public:
@@ -46,7 +51,7 @@ class ScopeAllocator {
   /// First label past the formula-allocation region of a scope [n, n+size):
   /// [usable_end, n+size) is the reserved tail for underflow runs.
   uint64_t UsableEnd(const NodeRecord& record) const {
-    const uint64_t reserve = record.size / reserve_divisor_;
+    const uint64_t reserve = record.size / kReserveDivisor;
     return record.n + record.size - reserve;
   }
 
@@ -57,20 +62,12 @@ class ScopeAllocator {
     record->seq_cursor = record->n + record->size;
     record->k = 0;
   }
-
- protected:
-  explicit ScopeAllocator(uint64_t reserve_divisor)
-      : reserve_divisor_(reserve_divisor < 2 ? 2 : reserve_divisor) {}
-
-  const uint64_t reserve_divisor_;
 };
 
 class UniformScopeAllocator : public ScopeAllocator {
  public:
-  /// `lambda` is the expected number of child elements (paper's λ);
-  /// `reserve_divisor` d reserves 1/d of every scope for underflow runs.
-  explicit UniformScopeAllocator(uint64_t lambda,
-                                 uint64_t reserve_divisor = 16);
+  /// `lambda` is the expected number of child elements (paper's λ).
+  explicit UniformScopeAllocator(uint64_t lambda);
 
   Scope AllocateChild(NodeRecord* parent, Symbol parent_symbol,
                       Symbol child_symbol, uint32_t child_depth) override;
@@ -82,11 +79,8 @@ class UniformScopeAllocator : public ScopeAllocator {
 class StatisticalScopeAllocator : public ScopeAllocator {
  public:
   /// `stats` must outlive the allocator (the index owns both).
-  /// `other_divisor` d gives 1/d of the usable region to unseen symbols.
   StatisticalScopeAllocator(const SchemaStats* stats,
-                            uint64_t fallback_lambda,
-                            uint64_t reserve_divisor = 16,
-                            uint64_t other_divisor = 8);
+                            uint64_t fallback_lambda);
 
   Scope AllocateChild(NodeRecord* parent, Symbol parent_symbol,
                       Symbol child_symbol, uint32_t child_depth) override;
@@ -94,7 +88,6 @@ class StatisticalScopeAllocator : public ScopeAllocator {
  private:
   const SchemaStats* stats_;
   UniformScopeAllocator fallback_;
-  const uint64_t other_divisor_;
 };
 
 }  // namespace vist

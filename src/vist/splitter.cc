@@ -20,7 +20,6 @@ std::unique_ptr<xml::Node> DeepCopy(const xml::Node& node) {
 // Builds wrapper elements for the ancestor chain of `node` (root first,
 // excluding the node itself) and returns the innermost wrapper.
 xml::Node* BuildAncestorChain(const xml::Node& node,
-                              const SplitOptions& options,
                               std::unique_ptr<xml::Node>* out_root) {
   std::vector<const xml::Node*> chain;
   for (const xml::Node* up = node.parent(); up != nullptr; up = up->parent()) {
@@ -30,13 +29,6 @@ xml::Node* BuildAncestorChain(const xml::Node& node,
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     auto wrapper = std::make_unique<xml::Node>(xml::NodeKind::kElement);
     wrapper->set_name((*it)->name());
-    if (options.keep_ancestor_attributes) {
-      for (const auto& child : (*it)->children()) {
-        if (child->is_attribute()) {
-          wrapper->AddAttribute(child->name(), child->value());
-        }
-      }
-    }
     if (current == nullptr) {
       *out_root = std::move(wrapper);
       current = out_root->get();
@@ -58,17 +50,17 @@ struct ResidualCopy {
 // is "contentful" when it holds anything beyond the bare skeleton of
 // split-point ancestors: text, attributes, or whole subtrees that had no
 // split points in them.
-ResidualCopy CopyResidual(const xml::Node& node, const SplitOptions& options,
+ResidualCopy CopyResidual(const xml::Node& node,
+                          const std::set<std::string>& split_elements,
                           std::vector<xml::Document>* records) {
   ResidualCopy result;
   result.copy = std::make_unique<xml::Node>(node.kind());
   result.copy->set_name(node.name());
   result.copy->set_value(node.value());
   for (const auto& child : node.children()) {
-    if (child->is_element() &&
-        options.split_elements.count(child->name()) > 0) {
+    if (child->is_element() && split_elements.count(child->name()) > 0) {
       std::unique_ptr<xml::Node> record_root;
-      xml::Node* anchor = BuildAncestorChain(*child, options, &record_root);
+      xml::Node* anchor = BuildAncestorChain(*child, &record_root);
       if (anchor == nullptr) {
         // The split element is the document root itself.
         records->emplace_back(DeepCopy(*child));
@@ -79,7 +71,7 @@ ResidualCopy CopyResidual(const xml::Node& node, const SplitOptions& options,
       result.contains_split = true;
       continue;
     }
-    ResidualCopy child_copy = CopyResidual(*child, options, records);
+    ResidualCopy child_copy = CopyResidual(*child, split_elements, records);
     result.contains_split |= child_copy.contains_split;
     if (child->is_attribute() || child->is_text()) {
       result.contentful = true;
@@ -95,15 +87,15 @@ ResidualCopy CopyResidual(const xml::Node& node, const SplitOptions& options,
 
 }  // namespace
 
-std::vector<xml::Document> SplitDocument(const xml::Node& root,
-                                         const SplitOptions& options) {
+std::vector<xml::Document> SplitDocument(
+    const xml::Node& root, const std::set<std::string>& split_elements) {
   VIST_CHECK(root.is_element());
   std::vector<xml::Document> records;
-  if (options.split_elements.count(root.name()) > 0) {
+  if (split_elements.count(root.name()) > 0) {
     records.emplace_back(DeepCopy(root));
     return records;
   }
-  ResidualCopy residual = CopyResidual(root, options, &records);
+  ResidualCopy residual = CopyResidual(root, split_elements, &records);
   if (residual.contentful) {
     records.emplace_back(std::move(residual.copy));
   }

@@ -7,7 +7,8 @@
 // its own record, each wrapped in its chain of ancestors (so absolute
 // queries like /site//item still anchor correctly), and leaves the
 // residual document (everything outside split subtrees) as a final record
-// when it still contains content.
+// when it still contains content. The wrapper chain carries names only:
+// ancestor attributes stay with the residual record.
 
 #ifndef VIST_VIST_SPLITTER_H_
 #define VIST_VIST_SPLITTER_H_
@@ -20,18 +21,11 @@
 
 namespace vist {
 
-struct SplitOptions {
-  /// Element names whose subtrees become separate records.
-  std::set<std::string> split_elements;
-  /// Copy ancestor attributes onto the wrapper chain (ids etc. often live
-  /// there; they cost a few elements per record).
-  bool keep_ancestor_attributes = false;
-};
-
-/// Splits `root` into substructure records. Order: document order of the
-/// split points, residual record (if any) last. The input is not modified.
-std::vector<xml::Document> SplitDocument(const xml::Node& root,
-                                         const SplitOptions& options);
+/// Splits `root` into substructure records, one per subtree whose element
+/// name is in `split_elements`. Order: document order of the split points,
+/// residual record (if any) last. The input is not modified.
+std::vector<xml::Document> SplitDocument(
+    const xml::Node& root, const std::set<std::string>& split_elements);
 
 }  // namespace vist
 

@@ -175,11 +175,9 @@ Status VistIndex::InitStore(const std::string& dir, bool create) {
     }
     if (options_.allocator == VistOptions::AllocatorKind::kStatistical) {
       allocator_ = std::make_unique<StatisticalScopeAllocator>(
-          &stats_, options_.lambda, options_.reserve_divisor,
-          options_.other_divisor);
+          &stats_, options_.lambda);
     } else {
-      allocator_ = std::make_unique<UniformScopeAllocator>(
-          options_.lambda, options_.reserve_divisor);
+      allocator_ = std::make_unique<UniformScopeAllocator>(options_.lambda);
     }
     return Status::OK();
   };
@@ -522,7 +520,7 @@ Status VistIndex::InsertDocument(const xml::Node& root, uint64_t doc_id) {
   return Mutate([&](uint64_t epoch) {
     // Interning is not part of the transaction: the symbol table is
     // append-only, so symbols from an aborted insert are harmless.
-    Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
+    Sequence sequence = BuildSequence(root, &symtab_);
     return store_->Write(epoch, [&]() -> Status {
       VIST_RETURN_IF_ERROR(InsertSequenceImpl(sequence, doc_id));
       if (!options_.store_documents) return Status::OK();
@@ -597,7 +595,7 @@ Status VistIndex::DeleteSequenceImpl(const Sequence& sequence,
 
 Status VistIndex::DeleteDocument(const xml::Node& root, uint64_t doc_id) {
   return Mutate([&](uint64_t epoch) {
-    Sequence sequence = BuildSequence(root, &symtab_, options_.sequence);
+    Sequence sequence = BuildSequence(root, &symtab_);
     return store_->Write(epoch, [&]() -> Status {
       VIST_RETURN_IF_ERROR(DeleteSequenceImpl(sequence, doc_id));
       if (!options_.store_documents) return Status::OK();
@@ -625,15 +623,13 @@ Result<std::vector<uint64_t>> VistIndex::QueryCompiledImpl(
 }
 
 Result<std::shared_ptr<const QueryPlan>> VistIndex::Prepare(
-    std::string_view path, const QueryOptions& options) {
+    std::string_view path, const QueryOptions& /*options*/) {
   // Compilation reads only the symbol table, which synchronizes itself
   // (and is append-only) — no index lock, no snapshot needed.
   VIST_ASSIGN_OR_RETURN(query::PathExpr expr, query::ParsePath(path));
   VIST_ASSIGN_OR_RETURN(query::QueryTree tree, query::BuildQueryTree(expr));
-  query::CompileOptions compile_options;
-  compile_options.max_alternatives = options.max_alternatives;
   VIST_ASSIGN_OR_RETURN(query::CompiledQuery compiled,
-                        query::CompileQuery(tree, symtab_, compile_options));
+                        query::CompileQuery(tree, symtab_));
   return std::shared_ptr<const QueryPlan>(std::make_shared<VistQueryPlan>(
       std::string(path), std::move(tree), std::move(compiled)));
 }

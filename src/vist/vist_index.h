@@ -64,17 +64,10 @@ struct VistOptions : StoreOptions {
   /// λ: rough estimate of distinct successors per node (uniform allocator,
   /// and the statistical allocator's fallback).
   uint64_t lambda = 16;
-  /// 1/d of every scope is reserved for scope-underflow runs.
-  uint64_t reserve_divisor = 16;
-  /// Statistical allocator: 1/d of the usable region for unseen symbols.
-  uint64_t other_divisor = 8;
 
   /// Keep the serialized documents in the index (enables verified queries
   /// and GetDocument).
   bool store_documents = false;
-
-  /// How documents become sequences (content indexing switches).
-  SequenceOptions sequence;
 
   /// Sample statistics for the statistical allocator; borrowed during
   /// Create() (stored in index.db, reloaded on Open).

@@ -27,8 +27,7 @@ bool IsWhitespaceOnly(std::string_view s) {
 
 class Parser {
  public:
-  Parser(std::string_view input, const ParseOptions& options)
-      : input_(input), options_(options) {}
+  explicit Parser(std::string_view input) : input_(input) {}
 
   Result<Document> Run() {
     SkipMisc();
@@ -173,8 +172,9 @@ class Parser {
   }
 
   Result<std::unique_ptr<Node>> ParseElement() {
-    if (depth_ >= options_.max_depth) {
-      return Error("element nesting deeper than ParseOptions::max_depth");
+    if (depth_ >= kMaxDepth) {
+      return Error("element nesting deeper than max_depth " +
+                   std::to_string(kMaxDepth));
     }
     ++depth_;
     auto result = ParseElementInner();
@@ -270,7 +270,7 @@ class Parser {
       size_t start = pos_;
       while (!Eof() && Peek() != '<') Advance(1);
       std::string_view raw = input_.substr(start, pos_ - start);
-      if (!options_.ignore_whitespace_text || !IsWhitespaceOnly(raw)) {
+      if (!IsWhitespaceOnly(raw)) {
         VIST_ASSIGN_OR_RETURN(std::string text, DecodeText(raw));
         element->AddText(text);
       }
@@ -278,7 +278,6 @@ class Parser {
   }
 
   std::string_view input_;
-  ParseOptions options_;
   size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
@@ -287,19 +286,18 @@ class Parser {
 
 }  // namespace
 
-Result<Document> Parse(std::string_view input, const ParseOptions& options) {
-  Parser parser(input, options);
+Result<Document> Parse(std::string_view input) {
+  Parser parser(input);
   return parser.Run();
 }
 
-Result<Document> ParseFile(const std::string& path,
-                           const ParseOptions& options) {
+Result<Document> ParseFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   std::string contents = buffer.str();
-  return Parse(contents, options);
+  return Parse(contents);
 }
 
 }  // namespace xml

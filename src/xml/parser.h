@@ -18,22 +18,17 @@
 namespace vist {
 namespace xml {
 
-struct ParseOptions {
-  /// Drop text nodes that are entirely whitespace (the usual choice for
-  /// data-oriented XML; keeps sequences free of formatting noise).
-  bool ignore_whitespace_text = true;
-  /// Maximum element nesting depth; deeper input is rejected (protects
-  /// the recursive-descent parser's stack against adversarial input).
-  int max_depth = 512;
-};
+/// Maximum element nesting depth; deeper input is rejected (protects
+/// the recursive-descent parser's stack against adversarial input).
+inline constexpr int kMaxDepth = 512;
 
 /// Parses one well-formed XML document. Errors carry 1-based line/column.
-Result<Document> Parse(std::string_view input,
-                       const ParseOptions& options = ParseOptions());
+/// Text nodes that are entirely whitespace are dropped (the usual choice
+/// for data-oriented XML; keeps sequences free of formatting noise).
+Result<Document> Parse(std::string_view input);
 
 /// Parses a file from disk.
-Result<Document> ParseFile(const std::string& path,
-                           const ParseOptions& options = ParseOptions());
+Result<Document> ParseFile(const std::string& path);
 
 }  // namespace xml
 }  // namespace vist

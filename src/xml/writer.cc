@@ -31,17 +31,8 @@ void EscapeInto(std::string_view text, bool in_attribute, std::string* out) {
   }
 }
 
-void WriteElement(const Node& node, const WriteOptions& options, int depth,
-                  std::string* out) {
+void WriteElement(const Node& node, std::string* out) {
   VIST_CHECK(node.is_element());
-  auto indent = [&](int d) {
-    if (options.pretty) out->append(2 * static_cast<size_t>(d), ' ');
-  };
-  auto newline = [&] {
-    if (options.pretty) *out += '\n';
-  };
-
-  indent(depth);
   *out += '<';
   *out += node.name();
   bool has_content = false;
@@ -58,18 +49,9 @@ void WriteElement(const Node& node, const WriteOptions& options, int depth,
   }
   if (!has_content) {
     *out += "/>";
-    newline();
     return;
   }
   *out += '>';
-  // Pretty-printing inserts structure whitespace only when there is no text
-  // content (text must round-trip exactly).
-  bool has_text = false;
-  for (const auto& child : node.children()) {
-    if (child->is_text()) has_text = true;
-  }
-  const bool structural = options.pretty && !has_text;
-  if (structural) *out += '\n';
   for (const auto& child : node.children()) {
     switch (child->kind()) {
       case NodeKind::kAttribute:
@@ -78,34 +60,26 @@ void WriteElement(const Node& node, const WriteOptions& options, int depth,
         EscapeInto(child->value(), /*in_attribute=*/false, out);
         break;
       case NodeKind::kElement:
-        if (structural) {
-          WriteElement(*child, options, depth + 1, out);
-        } else {
-          WriteOptions flat = options;
-          flat.pretty = false;
-          WriteElement(*child, flat, 0, out);
-        }
+        WriteElement(*child, out);
         break;
     }
   }
-  if (structural) indent(depth);
   *out += "</";
   *out += node.name();
   *out += '>';
-  newline();
 }
 
 }  // namespace
 
-std::string WriteNode(const Node& node, const WriteOptions& options) {
+std::string WriteNode(const Node& node) {
   std::string out;
-  WriteElement(node, options, 0, &out);
+  WriteElement(node, &out);
   return out;
 }
 
-std::string Write(const Document& doc, const WriteOptions& options) {
+std::string Write(const Document& doc) {
   if (doc.root() == nullptr) return "";
-  return WriteNode(*doc.root(), options);
+  return WriteNode(*doc.root());
 }
 
 }  // namespace xml

@@ -10,20 +10,12 @@
 namespace vist {
 namespace xml {
 
-struct WriteOptions {
-  /// Pretty-print with 2-space indentation. When false the output is one
-  /// line with no inter-element whitespace (round-trip safe with the
-  /// parser's default whitespace handling either way).
-  bool pretty = false;
-};
-
-/// Returns the XML text for `doc` (no <?xml?> declaration).
-std::string Write(const Document& doc,
-                  const WriteOptions& options = WriteOptions());
+/// Returns the XML text for `doc` (no <?xml?> declaration): one line with
+/// no inter-element whitespace, so it round-trips through the parser.
+std::string Write(const Document& doc);
 
 /// Serializes a single subtree.
-std::string WriteNode(const Node& node,
-                      const WriteOptions& options = WriteOptions());
+std::string WriteNode(const Node& node);
 
 }  // namespace xml
 }  // namespace vist

@@ -128,11 +128,7 @@ TEST(RouterOracleTest, RouterMatchesEveryBareEngineAcrossMutationEpochs) {
   ASSERT_TRUE(paths.ok()) << paths.status().ToString();
   auto nodes = NodeIndex::Create(dir + "/nodes", (*vist)->symbols());
   ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
-  // A small explore_every so periodic exploration provably runs inside
-  // the test's query volume.
-  RouterOptions router_options;
-  router_options.explore_every = 16;
-  Router router(vist->get(), paths->get(), nodes->get(), router_options);
+  Router router(vist->get(), paths->get(), nodes->get());
 
   Random rng(kSeed);
   std::vector<std::pair<uint64_t, std::string>> live;  // (doc_id, xml)

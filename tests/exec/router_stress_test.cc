@@ -73,10 +73,7 @@ TEST(RouterStressTest, ReadersSeeWholeMutationsWhileWriterChurns) {
   ASSERT_TRUE(paths.ok()) << paths.status().ToString();
   auto nodes = NodeIndex::Create(dir + "/nodes", (*vist)->symbols());
   ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
-  RouterOptions options;
-  options.explore_every = 8;  // make exploration fire constantly
-  options.min_observations = 2;
-  Router router(vist->get(), paths->get(), nodes->get(), options);
+  Router router(vist->get(), paths->get(), nodes->get());
 
   for (uint64_t id = 1; id <= 8; ++id) {
     xml::Document doc = MustParse(kBaseDoc);

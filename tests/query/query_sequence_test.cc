@@ -151,10 +151,10 @@ TEST_F(QuerySequenceTest, UngroundedWildcardRejected) {
 }
 
 TEST_F(QuerySequenceTest, PermutationExplosionCapped) {
-  CompileOptions options;
-  options.max_alternatives = 4;
-  // Four same-named branches with distinct leaves: 4! = 24 > 4.
-  auto q = CompilePath("/a[b/c][b/d][b/e][b/L]", symtab_, options);
+  // Five same-named branches with distinct leaves: 5! = 120 orders, more
+  // than kMaxAlternatives.
+  static_assert(kMaxAlternatives < 120);
+  auto q = CompilePath("/a[b/c][b/d][b/e][b/L][b/M]", symtab_);
   EXPECT_FALSE(q.ok());
   EXPECT_TRUE(q.status().IsNotSupported());
 }

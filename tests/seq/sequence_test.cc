@@ -112,18 +112,6 @@ TEST(SequenceTest, TextBecomesValueSymbolBeforeChildren) {
   EXPECT_EQ(seq[2].symbol, symtab.Lookup("b").value());
 }
 
-TEST(SequenceTest, OptionsCanExcludeValues) {
-  auto doc = xml::Parse("<a n=\"v\">text</a>");
-  ASSERT_TRUE(doc.ok());
-  SymbolTable symtab;
-  SequenceOptions opts;
-  opts.include_text = false;
-  opts.include_attribute_values = false;
-  Sequence seq = BuildSequence(*doc->root(), &symtab, opts);
-  ASSERT_EQ(seq.size(), 2u);  // a, n only
-  for (const auto& e : seq) EXPECT_FALSE(IsValueSymbol(e.symbol));
-}
-
 TEST(PrefixPatternTest, ConcretePatternsNeedExactMatch) {
   std::vector<Symbol> p = {1, 2, 3};
   EXPECT_TRUE(PrefixPatternMatches(p, {1, 2, 3}));

@@ -23,7 +23,6 @@ TEST_F(PageTest, InitLeaf) {
   EXPECT_TRUE(page_.is_leaf());
   EXPECT_EQ(page_.num_cells(), 0);
   EXPECT_EQ(page_.next(), kInvalidPageId);
-  EXPECT_EQ(page_.prev(), kInvalidPageId);
   EXPECT_GT(page_.FreeSpace(), kPageSize - 64);
 }
 
@@ -120,15 +119,13 @@ TEST_F(PageTest, InternalCellsCarryChildren) {
   EXPECT_EQ(page_.Key(0).ToString(), "m");
 }
 
-TEST_F(PageTest, SiblingPointersPersistAcrossInserts) {
+TEST_F(PageTest, NextPointerPersistsAcrossInserts) {
   page_.Init(kLeafPage);
   page_.set_next(5);
-  page_.set_prev(3);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(page_.InsertLeaf(i, "k" + std::to_string(100 + i), "v"));
   }
   EXPECT_EQ(page_.next(), 5u);
-  EXPECT_EQ(page_.prev(), 3u);
 }
 
 TEST_F(PageTest, ValidateAcceptsWellFormedPages) {

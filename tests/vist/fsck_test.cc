@@ -193,31 +193,42 @@ TEST_F(FsckTest, DetectsLeakedPage) {
 
 TEST_F(FsckTest, MalformedMetaRecordIsCorruptionOnOpen) {
   BuildIndex();
-  // Overwrite the options record in a committed transaction of its own, so
-  // the page file stays structurally sound...
-  {
-    auto store =
-        VersionedStore::Open(DbPath(), StoreOptions(), /*create=*/false);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    auto meta = (*store)->OpenTree(kMetaTreeSlot);
-    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
-    ASSERT_TRUE((*store)
-                    ->Write(/*epoch=*/1,
-                            [&] { return (*meta)->Put(kOptionsKey, "junk"); })
-                    .ok());
-    ASSERT_TRUE((*store)->Flush().ok());
+  // Junk, and a well-formed record in the older eight-field layout
+  // (version 2: allocator, lambda, reserve and other divisors,
+  // store_documents, and two sequence switches).
+  std::string eight_fields;
+  for (uint64_t field : {2, 0, 16, 16, 8, 0, 1, 1}) {
+    PutVarint64(&eight_fields, field);
   }
-  auto report = RunFsck(dir_);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->Summary();
-  // ...which fsck's walk accepts, while Open cannot decode the record. The
-  // damage is Corruption, not an absent index, so Create refuses it too.
-  auto index = VistIndex::Open(dir_, VistOptions());
-  ASSERT_FALSE(index.ok());
-  EXPECT_TRUE(index.status().IsCorruption()) << index.status().ToString();
-  auto created = VistIndex::Create(dir_, VistOptions());
-  ASSERT_FALSE(created.ok());
-  EXPECT_TRUE(created.status().IsCorruption()) << created.status().ToString();
+  for (const std::string& record : {std::string("junk"), eight_fields}) {
+    // Overwrite the options record in a committed transaction of its own,
+    // so the page file stays structurally sound...
+    {
+      auto store =
+          VersionedStore::Open(DbPath(), StoreOptions(), /*create=*/false);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto meta = (*store)->OpenTree(kMetaTreeSlot);
+      ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+      ASSERT_TRUE((*store)
+                      ->Write(/*epoch=*/1,
+                              [&] { return (*meta)->Put(kOptionsKey, record); })
+                      .ok());
+      ASSERT_TRUE((*store)->Flush().ok());
+    }
+    auto report = RunFsck(dir_);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << report->Summary();
+    // ...which fsck's walk accepts, while Open cannot decode the record.
+    // The damage is Corruption, not an absent index, so Create refuses it
+    // too.
+    auto index = VistIndex::Open(dir_, VistOptions());
+    ASSERT_FALSE(index.ok());
+    EXPECT_TRUE(index.status().IsCorruption()) << index.status().ToString();
+    auto created = VistIndex::Create(dir_, VistOptions());
+    ASSERT_FALSE(created.ok());
+    EXPECT_TRUE(created.status().IsCorruption())
+        << created.status().ToString();
+  }
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ NodeRecord FreshParent(const ScopeAllocator& allocator, uint64_t n,
 
 TEST(UniformAllocatorTest, Figure8GeometricShrink) {
   // λ=2 (Fig. 8): each child takes half the remaining scope.
-  UniformScopeAllocator allocator(2, /*reserve_divisor=*/1024);
+  UniformScopeAllocator allocator(2);
   NodeRecord parent = FreshParent(allocator, 0, 1 << 20);
   Scope c1 = allocator.AllocateChild(&parent, 1, 2, 1);
   Scope c2 = allocator.AllocateChild(&parent, 1, 3, 1);
@@ -74,7 +74,7 @@ TEST(UniformAllocatorTest, Figure8GeometricShrink) {
 }
 
 TEST(UniformAllocatorTest, ChildrenAreDisjointAndNested) {
-  UniformScopeAllocator allocator(4, 16);
+  UniformScopeAllocator allocator(4);
   NodeRecord parent = FreshParent(allocator, 1000, 1 << 16);
   std::vector<Scope> scopes;
   for (int i = 0; i < 20; ++i) {
@@ -98,7 +98,7 @@ TEST(UniformAllocatorTest, ChildrenAreDisjointAndNested) {
 }
 
 TEST(UniformAllocatorTest, UnderflowWhenScopeTiny) {
-  UniformScopeAllocator allocator(16, 16);
+  UniformScopeAllocator allocator(16);
   NodeRecord parent = FreshParent(allocator, 5, 20);
   // remaining ≈ 18, 18/16 = 1 < minimum of 2: underflow immediately.
   Scope scope = allocator.AllocateChild(&parent, 1, 2, 1);
@@ -106,10 +106,10 @@ TEST(UniformAllocatorTest, UnderflowWhenScopeTiny) {
 }
 
 TEST(UniformAllocatorTest, ReserveIsNeverAllocated) {
-  UniformScopeAllocator allocator(2, /*reserve_divisor=*/4);
+  UniformScopeAllocator allocator(2);
   NodeRecord parent = FreshParent(allocator, 0, 1000);
   const uint64_t usable_end = allocator.UsableEnd(parent);
-  EXPECT_EQ(usable_end, 750u);  // 1/4 reserved
+  EXPECT_EQ(usable_end, 938u);  // 1000 / kReserveDivisor = 62 reserved
   for (int i = 0; i < 64; ++i) {
     Scope scope = allocator.AllocateChild(&parent, 1, 2 + i, 1);
     if (!scope.valid()) break;
@@ -133,8 +133,7 @@ class StatisticalAllocatorTest : public ::testing::Test {
 };
 
 TEST_F(StatisticalAllocatorTest, SlotsProportionalToProbability) {
-  StatisticalScopeAllocator allocator(&stats_, 8, /*reserve_divisor=*/1024,
-                                      /*other_divisor=*/8);
+  StatisticalScopeAllocator allocator(&stats_, 8);
   NodeRecord parent = FreshParent(allocator, 0, 1 << 20);
   Scope to20 = allocator.AllocateChild(&parent, 10, 20, 1);
   Scope to30 = allocator.AllocateChild(&parent, 10, 30, 1);
@@ -146,7 +145,7 @@ TEST_F(StatisticalAllocatorTest, SlotsProportionalToProbability) {
 }
 
 TEST_F(StatisticalAllocatorTest, SlotsAreDeterministic) {
-  StatisticalScopeAllocator allocator(&stats_, 8, 1024, 8);
+  StatisticalScopeAllocator allocator(&stats_, 8);
   NodeRecord parent1 = FreshParent(allocator, 0, 1 << 20);
   NodeRecord parent2 = FreshParent(allocator, 0, 1 << 20);
   // Allocation order must not change the slot of a known successor.
@@ -161,7 +160,7 @@ TEST_F(StatisticalAllocatorTest, SlotsAreDeterministic) {
 TEST_F(StatisticalAllocatorTest, SameSymbolDifferentDepthGetsOwnSlot) {
   Sequence deep = {{10, {}}, {20, {5, 10}}};
   stats_.CollectFrom(deep);
-  StatisticalScopeAllocator allocator(&stats_, 8, 1024, 8);
+  StatisticalScopeAllocator allocator(&stats_, 8);
   NodeRecord parent = FreshParent(allocator, 0, 1 << 20);
   Scope d1 = allocator.AllocateChild(&parent, 10, 20, 1);
   Scope d2 = allocator.AllocateChild(&parent, 10, 20, 2);
@@ -170,7 +169,7 @@ TEST_F(StatisticalAllocatorTest, SameSymbolDifferentDepthGetsOwnSlot) {
 }
 
 TEST_F(StatisticalAllocatorTest, UnseenSymbolsUseOtherBucket) {
-  StatisticalScopeAllocator allocator(&stats_, 8, 1024, 8);
+  StatisticalScopeAllocator allocator(&stats_, 8);
   NodeRecord parent = FreshParent(allocator, 0, 1 << 20);
   Scope known = allocator.AllocateChild(&parent, 10, 20, 1);
   Scope unseen1 = allocator.AllocateChild(&parent, 10, 777, 1);
@@ -183,7 +182,7 @@ TEST_F(StatisticalAllocatorTest, UnseenSymbolsUseOtherBucket) {
 }
 
 TEST_F(StatisticalAllocatorTest, UnknownContextFallsBackToUniform) {
-  StatisticalScopeAllocator allocator(&stats_, 8, 1024, 8);
+  StatisticalScopeAllocator allocator(&stats_, 8);
   NodeRecord parent = FreshParent(allocator, /*n=*/0, 1 << 20);
   Scope scope = allocator.AllocateChild(&parent, /*parent_symbol=*/999, 1, 1);
   EXPECT_TRUE(scope.valid());

@@ -12,14 +12,10 @@ namespace vist {
 namespace {
 
 std::vector<xml::Document> Split(const char* xml_text,
-                                 std::set<std::string> names,
-                                 bool keep_attrs = false) {
+                                 const std::set<std::string>& names) {
   auto doc = xml::Parse(xml_text);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-  SplitOptions options;
-  options.split_elements = std::move(names);
-  options.keep_ancestor_attributes = keep_attrs;
-  return SplitDocument(*doc->root(), options);
+  return SplitDocument(*doc->root(), names);
 }
 
 TEST(SplitterTest, ExtractsEachOccurrenceWithAncestors) {
@@ -83,16 +79,12 @@ TEST(SplitterTest, NestedSplitElementsStayWithOuterRecord) {
   EXPECT_NE(outer->FindChildElement("item"), nullptr);
 }
 
-TEST(SplitterTest, AncestorAttributesOptIn) {
-  // The split record's wrapper chain carries ancestor attributes only on
-  // request. (The residual keeps the attribute either way: it is payload.)
-  auto without = Split("<site id=\"s1\"><item/></site>", {"item"});
-  ASSERT_EQ(without.size(), 2u);
-  EXPECT_TRUE(std::string(without[0].root()->Attribute("id")).empty());
-
-  auto with = Split("<site id=\"s1\"><item/></site>", {"item"}, true);
-  ASSERT_EQ(with.size(), 2u);
-  EXPECT_EQ(with[0].root()->Attribute("id"), "s1");
+TEST(SplitterTest, WrapperChainCarriesNoAncestorAttributes) {
+  // The split record's wrapper chain carries no ancestor attributes. (The
+  // residual keeps the attribute: it is payload.)
+  auto records = Split("<site id=\"s1\"><item/></site>", {"item"});
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_TRUE(std::string(records[0].root()->Attribute("id")).empty());
 
   // Without the attribute there is no payload: the residual disappears.
   auto bare = Split("<site><item/></site>", {"item"});
@@ -109,10 +101,7 @@ TEST(SplitterTest, SplitRecordsIndexAndAnswerAbsoluteQueries) {
       "</regions></site>";
   auto doc = xml::Parse(big);
   ASSERT_TRUE(doc.ok());
-  SplitOptions split_options;
-  split_options.split_elements = {"item"};
-  std::vector<xml::Document> records =
-      SplitDocument(*doc->root(), split_options);
+  std::vector<xml::Document> records = SplitDocument(*doc->root(), {"item"});
   ASSERT_EQ(records.size(), 2u);  // two items; residual has no content
 
   const auto dir = std::filesystem::temp_directory_path() /

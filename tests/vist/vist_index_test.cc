@@ -300,6 +300,7 @@ TEST_F(VistIndexTest, StatisticalAllocatorEndToEnd) {
   }
   VistOptions options;
   options.allocator = VistOptions::AllocatorKind::kStatistical;
+  options.lambda = 12;
   options.stats = &stats;
   CreateIndex(options);
   // NOTE: symbols interned during sampling must match the index's own
@@ -310,7 +311,10 @@ TEST_F(VistIndexTest, StatisticalAllocatorEndToEnd) {
   EXPECT_EQ(Run("/P/S/N"), (std::vector<uint64_t>{1, 2}));
   EXPECT_EQ(Run("/P/S/L[text()='y']"), (std::vector<uint64_t>{3}));
   ASSERT_TRUE(index_->Flush().ok());
-  ReopenIndex();
+  ReopenIndex();  // with a default VistOptions: λ comes from index.db
+  EXPECT_EQ(index_->options().allocator,
+            VistOptions::AllocatorKind::kStatistical);
+  EXPECT_EQ(index_->options().lambda, 12u);
   EXPECT_EQ(Run("/P/S/N"), (std::vector<uint64_t>{1, 2}));
   Insert(4, "<P><S><N>c</N></S></P>");
   EXPECT_EQ(Run("/P/S/N"), (std::vector<uint64_t>{1, 2, 4}));

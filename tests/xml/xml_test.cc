@@ -67,17 +67,10 @@ TEST(ParserTest, CdataPreserved) {
   EXPECT_EQ(doc->root()->Text(), "raw <stuff> & more");
 }
 
-TEST(ParserTest, WhitespaceTextDroppedByDefaultKeptOnRequest) {
-  const char* input = "<a>\n  <b/>\n</a>";
-  auto dropped = Parse(input);
-  ASSERT_TRUE(dropped.ok());
-  EXPECT_EQ(dropped->root()->num_children(), 1u);
-
-  ParseOptions keep;
-  keep.ignore_whitespace_text = false;
-  auto kept = Parse(input, keep);
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(kept->root()->num_children(), 3u);
+TEST(ParserTest, WhitespaceTextDropped) {
+  auto doc = Parse("<a>\n  <b/>\n</a>");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->root()->num_children(), 1u);
 }
 
 TEST(ParserTest, MixedContent) {
@@ -147,18 +140,6 @@ TEST(WriterTest, RoundTripCompact) {
   std::string out = Write(*doc);
   auto reparsed = Parse(out);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << out;
-  EXPECT_TRUE(doc->root()->DeepEquals(*reparsed->root())) << out;
-}
-
-TEST(WriterTest, RoundTripPretty) {
-  auto doc = Parse("<a><b x=\"1\"><c/></b><d>text</d></a>");
-  ASSERT_TRUE(doc.ok());
-  WriteOptions pretty;
-  pretty.pretty = true;
-  std::string out = Write(*doc, pretty);
-  EXPECT_NE(out.find('\n'), std::string::npos);
-  auto reparsed = Parse(out);
-  ASSERT_TRUE(reparsed.ok()) << out;
   EXPECT_TRUE(doc->root()->DeepEquals(*reparsed->root())) << out;
 }
 
