@@ -89,8 +89,8 @@ int main() {
   Rig dblp = BuildRig("dblp", /*dblp=*/true, records);
   Rig xmark = BuildRig("xmark", /*dblp=*/false, records);
 
-  // Warmup: round-robin so every query's feature bucket accumulates
-  // enough observations for the learned costs to replace the priors.
+  // Warmup: a cold feature bucket runs each engine three times before its
+  // observed costs rank them; the remaining runs let the EWMA settle.
   for (int i = 0; i < kWarmupRuns; ++i) {
     for (const QuerySpec& query : kTable3Queries) {
       Rig& rig = query.dblp ? dblp : xmark;

@@ -10,42 +10,23 @@ namespace exec {
 namespace {
 
 // Walks one step list (the main spine or a predicate's relative path),
-// accumulating counts. Returns the number of root-to-leaf paths the list
-// lowers to: the spine contributes one leaf, and every predicate
-// contributes its own sub-tree's leaves.
-size_t WalkSteps(const std::vector<query::Step>& steps, bool is_spine,
-                 PlanFeatures* out) {
-  size_t leaves = 1;  // the step list's own terminal
-  size_t spine_pos = 0;
-  bool seen_descendant = false;
+// accumulating features.
+void WalkSteps(const std::vector<query::Step>& steps, PlanFeatures* out) {
   for (const query::Step& step : steps) {
-    ++out->steps;
-    if (step.axis == query::Axis::kDescendant) {
-      ++out->descendant_axes;
-      if (is_spine && !seen_descendant) {
-        seen_descendant = true;
-        out->first_descendant_pos = spine_pos;
-      }
-    }
+    if (step.axis == query::Axis::kDescendant) out->has_descendant = true;
     if (step.is_wildcard()) {
-      ++out->wildcards;
+      out->has_wildcard = true;
     } else {
       out->names.push_back(step.name);
     }
-    if (is_spine) ++spine_pos;
     for (const query::Step::Predicate& pred : step.predicates) {
-      if (!pred.steps.empty()) ++out->branch_predicates;
-      if (pred.value.has_value()) ++out->value_predicates;
-      if (pred.steps.empty()) {
-        // '[text()="v"]': a value leaf directly under this step.
-        leaves += 1;
-      } else {
-        leaves += WalkSteps(pred.steps, /*is_spine=*/false, out);
+      if (pred.value.has_value()) out->has_value = true;
+      if (!pred.steps.empty()) {
+        ++out->branch_predicates;
+        WalkSteps(pred.steps, out);
       }
     }
   }
-  if (is_spine && !seen_descendant) out->first_descendant_pos = spine_pos;
-  return leaves;
 }
 
 }  // namespace
@@ -53,7 +34,7 @@ size_t WalkSteps(const std::vector<query::Step>& steps, bool is_spine,
 Result<PlanFeatures> ExtractPlanFeatures(std::string_view path) {
   VIST_ASSIGN_OR_RETURN(query::PathExpr expr, query::ParsePath(path));
   PlanFeatures features;
-  features.leaf_paths = WalkSteps(expr.steps, /*is_spine=*/true, &features);
+  WalkSteps(expr.steps, &features);
   return features;
 }
 

@@ -1,13 +1,11 @@
-// Plan features: the shape statistics of a path expression that predict
-// which engine evaluates it cheapest.
+// Plan features: the shape statistics of a path expression that the
+// router buckets its observed engine costs by.
 //
-// EXPERIMENTS.md E1 shows the three engines win on disjoint query shapes:
-// the path baseline on concrete paths, the node baseline on selective
-// `//`-axis value joins, ViST on branching + wildcard patterns. *Path
-// Summaries and Path Partitioning in Modern XML Databases* (PAPERS.md)
-// keys its plan memoization on exactly the features extracted here —
-// wildcard count, descendant-axis depth, branch fan-out, and name
-// selectivity. exec::Router quantizes them into cost-model buckets.
+// *Path Summaries and Path Partitioning in Modern XML Databases*
+// (PAPERS.md) keys plans on a few shape features of the query. exec::Router
+// keys its feedback buckets on the ones extracted here: wildcard,
+// descendant-axis and value presence, branch fan-out, and the selectivity
+// of the concrete names.
 //
 // Extraction is pure parsing (query::ParsePath); it never touches an
 // index, so it works identically for every engine and costs microseconds
@@ -27,36 +25,20 @@
 namespace vist {
 namespace exec {
 
-/// Shape statistics of one path expression. Counts cover the whole query
+/// Shape statistics of one path expression. They cover the whole query
 /// tree: main-spine steps plus every predicate's relative path, recursively.
 struct PlanFeatures {
-  /// Total location steps (main path + predicate paths).
-  size_t steps = 0;
-  /// '*' name tests.
-  size_t wildcards = 0;
-  /// '//' (descendant) axes.
-  size_t descendant_axes = 0;
-  /// Main-spine steps strictly before the first '//' axis; equals the
-  /// number of main-spine steps when the path has no '//'. A low value
-  /// means the unbounded scan starts near the root (expensive for
-  /// depth-bucketed path scans).
-  size_t first_descendant_pos = 0;
+  /// Some name test is '*'.
+  bool has_wildcard = false;
+  /// Some step follows a '//' (descendant) axis.
+  bool has_descendant = false;
+  /// Some predicate tests a value ('[text()="v"]', '[a="v"]').
+  bool has_value = false;
   /// Predicates that branch into a relative path ('[a/b]', '[a="v"]').
   size_t branch_predicates = 0;
-  /// Predicates testing a value ('[text()="v"]', '[a="v"]'); a predicate
-  /// with both a relative path and a value counts once in each.
-  size_t value_predicates = 0;
-  /// Root-to-leaf paths of the lowered query tree — the number of
-  /// per-branch evaluations a decomposing engine must join back together.
-  size_t leaf_paths = 0;
   /// Concrete name tests in query order (duplicates kept). Selectivity
   /// estimation resolves them against corpus statistics.
   std::vector<std::string> names;
-
-  bool has_wildcard() const { return wildcards > 0; }
-  bool has_descendant() const { return descendant_axes > 0; }
-  bool has_branch() const { return branch_predicates > 0; }
-  bool has_value() const { return value_predicates > 0; }
 };
 
 /// Parses `path` and extracts its features. Fails exactly when

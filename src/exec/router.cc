@@ -19,8 +19,8 @@ constexpr double kEwmaAlpha = 0.25;
 // estimates for the non-preferred engines never go stale.
 constexpr uint64_t kExploreEvery = 64;
 
-// Observations each engine needs in a bucket before its EWMA replaces the
-// static prior (and before the bucket counts as warm).
+// Observations each engine needs in a bucket before its observed cost
+// ranks it; until then the least-observed cold engine runs first.
 constexpr uint64_t kMinObservations = 3;
 
 // Quantizes selectivity into coarse log10 bands: postings holding ≥10% of
@@ -37,41 +37,14 @@ uint32_t SelectivityBucket(double selectivity) {
 // selectivity band) — 96 buckets, few enough that each gathers
 // observations quickly, expressive enough to separate every E1 regime.
 uint32_t BucketKey(const PlanFeatures& features, double selectivity) {
-  uint32_t key = features.has_wildcard() ? 1u : 0u;
-  key |= (features.has_descendant() ? 1u : 0u) << 1;
+  uint32_t key = features.has_wildcard ? 1u : 0u;
+  key |= (features.has_descendant ? 1u : 0u) << 1;
   key |= std::min<uint32_t>(
              static_cast<uint32_t>(features.branch_predicates), 2u)
          << 2;
-  key |= (features.has_value() ? 1u : 0u) << 4;
+  key |= (features.has_value ? 1u : 0u) << 4;
   key |= SelectivityBucket(selectivity) << 5;
   return key;
-}
-
-// Static prior, in abstract cost units (lower is cheaper). Encodes the E1
-// shape: the path baseline owns concrete paths but pays a per-depth-bucket
-// expansion under '//'; the node baseline is immune to '//' but a '*'
-// forces its full-name scan; ViST pays a high constant (range scans over
-// the virtual tree) but degrades mildly in every direction, so it wins
-// when wildcards, '//', and branching pile up (Q7/Q8). Selectivity scales
-// the scan-bound engines: a fat anchor posting hurts the node index most.
-double StaticCost(size_t engine, const PlanFeatures& features,
-                  double selectivity) {
-  const double wildcards = static_cast<double>(features.wildcards);
-  const double descendants = static_cast<double>(features.descendant_axes);
-  const double branches = static_cast<double>(features.branch_predicates);
-  switch (static_cast<Router::Engine>(engine)) {
-    case Router::Engine::kPath:
-      return 2 + 12 * wildcards + 50 * descendants + 2 * branches +
-             20 * selectivity;
-    case Router::Engine::kNode:
-      return 15 + 40 * wildcards + 4 * descendants + 2 * branches +
-             60 * selectivity;
-    case Router::Engine::kVist:
-      return 35 + 6 * wildcards + 6 * descendants + 4 * branches +
-             10 * selectivity;
-  }
-  VIST_CHECK(false);
-  return 0;
 }
 
 // One routed query's observed cost, from the QueryProfile cost columns.
@@ -131,30 +104,18 @@ void FoldNameStats(const xml::Node& node, bool insert, NameStats* stats) {
   }
 }
 
-// Compiled form of a routed query: the extracted features plus each
-// engine's own plan (null where that engine's Prepare failed). The
-// routing decision is deliberately NOT part of the plan — QueryWithPlan
-// re-picks per execution, so a plan executed more than once keeps
-// following the feedback loop.
+// Compiled form of a routed query: only its features. QueryWithPlan
+// picks an engine per execution and compiles the query there, so a plan
+// executed more than once keeps following the feedback loop.
 class RouterPlan : public QueryPlan {
  public:
-  RouterPlan(std::string path, PlanFeatures features,
-             std::array<std::shared_ptr<const QueryPlan>,
-                        Router::kNumEngines>
-                 inner)
-      : QueryPlan(std::move(path)),
-        features_(std::move(features)),
-        inner_(std::move(inner)) {}
+  RouterPlan(std::string path, PlanFeatures features)
+      : QueryPlan(std::move(path)), features_(std::move(features)) {}
 
   const PlanFeatures& features() const { return features_; }
-  const std::shared_ptr<const QueryPlan>& inner(size_t engine) const {
-    return inner_[engine];
-  }
 
  private:
   const PlanFeatures features_;
-  const std::array<std::shared_ptr<const QueryPlan>, Router::kNumEngines>
-      inner_;
 };
 
 }  // namespace
@@ -244,7 +205,7 @@ Result<std::shared_ptr<const Snapshot>> Router::GetSnapshot() {
 }
 
 Result<std::shared_ptr<const QueryPlan>> Router::Prepare(
-    std::string_view path, const QueryOptions& options) {
+    std::string_view path, const QueryOptions& /*options*/) {
   // Metric reference: docs/OBSERVABILITY.md (exec section).
   static obs::Histogram& extract_us =
       obs::GetHistogram("router.feature_extraction_us");
@@ -253,27 +214,8 @@ Result<std::shared_ptr<const QueryPlan>> Router::Prepare(
     obs::ScopedTimer timer(extract_us);
     VIST_ASSIGN_OR_RETURN(features, ExtractPlanFeatures(path));
   }
-  // No router lock: compilation reads only the shared symbol table, which
-  // is internally synchronized (and append-only, so a plan compiled while
-  // the fan-out interns new names is still correct).
-  std::array<std::shared_ptr<const QueryPlan>, kNumEngines> inner;
-  Status error = Status::OK();
-  size_t prepared = 0;
-  for (size_t i = 0; i < kNumEngines; ++i) {
-    auto plan =
-        EngineFor(static_cast<Engine>(i))->Prepare(path, options);
-    if (plan.ok()) {
-      inner[i] = std::move(*plan);
-      ++prepared;
-    } else {
-      // An engine that cannot compile the query (ViST's permutation cap)
-      // is simply not a routing candidate.
-      if (error.ok()) error = plan.status();
-    }
-  }
-  if (prepared == 0) return error;
-  return std::shared_ptr<const QueryPlan>(std::make_shared<RouterPlan>(
-      std::string(path), std::move(features), std::move(inner)));
+  return std::shared_ptr<const QueryPlan>(
+      std::make_shared<RouterPlan>(std::string(path), std::move(features)));
 }
 
 Result<std::vector<uint64_t>> Router::QueryWithPlan(
@@ -296,113 +238,93 @@ Result<std::vector<uint64_t>> Router::QueryWithPlan(
                         ResolveSnapshot<RouterSnapshot>(
                             options, [this] { return snapshot_.Load(); }));
   const PlanFeatures& features = router_plan->features();
-  const double selectivity =
-      EstimateSelectivity(features, *snap->name_stats_);
-  const uint32_t bucket_key = BucketKey(features, selectivity);
-
-  unsigned candidates = 0;
-  for (size_t i = 0; i < kNumEngines; ++i) {
-    if (router_plan->inner(i) != nullptr) candidates |= 1u << i;
-  }
-  std::vector<Engine> ranked;
-  bool learn = true;
-  if (options.verify) {
-    // Verification needs the document store, which only ViST keeps; the
-    // extra verification work would also poison the routing EWMA, so
-    // verified queries bypass the feedback loop entirely.
-    if ((candidates & 1u) == 0) {
-      return Status::NotSupported(
-          "verified queries require the ViST engine");
-    }
-    ranked = {Engine::kVist};
-    learn = false;
-  } else {
-    ranked = RankEngines(bucket_key, features, selectivity, candidates);
-  }
-  VIST_CHECK(!ranked.empty());
+  const uint32_t bucket_key =
+      BucketKey(features, EstimateSelectivity(features, *snap->name_stats_));
+  // Verification needs the document store, which only ViST keeps; the
+  // extra verification work would also poison the routing EWMA, so
+  // verified queries bypass the feedback loop entirely.
+  const std::vector<Engine> ranked =
+      options.verify ? std::vector<Engine>{Engine::kVist}
+                     : RankEngines(bucket_key);
 
   Status not_supported = Status::OK();
   for (size_t attempt = 0; attempt < ranked.size(); ++attempt) {
     const Engine pick = ranked[attempt];
     if (attempt > 0) failovers.Increment();
-    switch (pick) {
-      case Engine::kVist:
-        picks_vist.Increment();
-        break;
-      case Engine::kPath:
-        picks_path.Increment();
-        break;
-      case Engine::kNode:
-        picks_node.Increment();
-        break;
-    }
     obs::QueryProfile local;
     QueryOptions engine_options = options;
     engine_options.profile = &local;
     engine_options.snapshot = snap->engines_[static_cast<size_t>(pick)];
-    auto result = EngineFor(pick)->QueryWithPlan(
-        *router_plan->inner(static_cast<size_t>(pick)), engine_options);
+    // The engine compiles the query here, against the shared symbol table
+    // (internally synchronized and append-only), so only the engine that
+    // runs it, and each one that could not, pays a compile.
+    auto result = EngineFor(pick)->Query(plan.path(), engine_options);
     if (result.ok()) {
+      switch (pick) {
+        case Engine::kVist:
+          picks_vist.Increment();
+          break;
+        case Engine::kPath:
+          picks_path.Increment();
+          break;
+        case Engine::kNode:
+          picks_node.Increment();
+          break;
+      }
       last_pick_.store(static_cast<int>(pick), std::memory_order_relaxed);
-      if (learn) RecordObservation(bucket_key, pick, ObservedCost(local));
+      if (!options.verify) {
+        RecordObservation(bucket_key, pick, ObservedCost(local));
+      }
       if (options.profile != nullptr) MergeProfile(local, options.profile);
       return result;
     }
-    // Only NotSupported fails over (an engine that cannot express the
-    // query). Everything else — deadline exceeded, I/O — is the query's
-    // real outcome; retrying elsewhere would burn the caller's budget.
+    // Only NotSupported fails over: an engine that cannot compile the
+    // query (ViST's permutation-expansion cap). Everything else — deadline
+    // exceeded, I/O — is the query's real outcome; retrying elsewhere
+    // would burn the caller's budget.
     if (!result.status().IsNotSupported()) return result.status();
     not_supported = result.status();
   }
   return not_supported;
 }
 
-std::vector<Router::Engine> Router::RankEngines(uint32_t bucket_key,
-                                                const PlanFeatures& features,
-                                                double selectivity,
-                                                unsigned candidates) {
+std::vector<Router::Engine> Router::RankEngines(uint32_t bucket_key) {
   // Metric reference: docs/OBSERVABILITY.md (exec section).
   static obs::Counter& explorations = obs::GetCounter("router.explorations");
-  struct Scored {
-    Engine engine;
-    double cost = 0;
-    uint64_t observations = 0;
-  };
-  std::vector<Scored> scored;
+  std::vector<Engine> ranked = {Engine::kVist, Engine::kPath, Engine::kNode};
   MutexLock lock(feedback_mu_);
   Bucket& bucket = feedback_[bucket_key];
   ++bucket.queries;
-  for (size_t i = 0; i < kNumEngines; ++i) {
-    if ((candidates & (1u << i)) == 0) continue;
-    const EngineStat& stat = bucket.engines[i];
-    Scored entry;
-    entry.engine = static_cast<Engine>(i);
-    entry.observations = stat.observations;
-    entry.cost = stat.observations >= kMinObservations
-                     ? stat.ewma_cost
-                     : StaticCost(i, features, selectivity);
-    scored.push_back(entry);
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const Scored& a, const Scored& b) {
-                     return a.cost < b.cost;
-                   });
-  // Exploration: a cold engine (or, in a warm bucket, the periodic probe)
-  // jumps the queue so every engine keeps a live cost estimate. The rest
-  // of the ranking is preserved — it doubles as the failover order.
-  auto least = std::min_element(scored.begin(), scored.end(),
-                                [](const Scored& a, const Scored& b) {
-                                  return a.observations < b.observations;
-                                });
-  const bool probe_due = bucket.queries % kExploreEvery == 0;
-  if (least != scored.begin() &&
-      (least->observations < kMinObservations || probe_due)) {
-    std::rotate(scored.begin(), least, least + 1);
+  const auto stat = [&bucket](Engine engine) -> const EngineStat& {
+    return bucket.engines[static_cast<size_t>(engine)];
+  };
+  const auto cold = [&stat](Engine engine) {
+    return stat(engine).observations < kMinObservations;
+  };
+  // Cold engines first, least-observed first, so a cold bucket runs each
+  // engine kMinObservations times; then the warm ones, cheapest observed
+  // cost first. Ties keep Engine order, so a fresh bucket starts on ViST.
+  std::stable_sort(ranked.begin(), ranked.end(), [&](Engine a, Engine b) {
+    if (cold(a) != cold(b)) return cold(a);
+    return cold(a) ? stat(a).observations < stat(b).observations
+                   : stat(a).ewma_cost < stat(b).ewma_cost;
+  });
+  // Exploration: a cold engine runs for its observation, and in a warm
+  // bucket every kExploreEvery-th query runs the least-observed engine,
+  // so no estimate goes stale. The rest of the ranking is preserved — it
+  // doubles as the failover order.
+  if (cold(ranked.front())) {
     explorations.Increment();
+  } else if (bucket.queries % kExploreEvery == 0) {
+    const auto least = std::min_element(
+        ranked.begin(), ranked.end(), [&](Engine a, Engine b) {
+          return stat(a).observations < stat(b).observations;
+        });
+    if (least != ranked.begin()) {
+      std::rotate(ranked.begin(), least, least + 1);
+      explorations.Increment();
+    }
   }
-  std::vector<Engine> ranked;
-  ranked.reserve(scored.size());
-  for (const Scored& entry : scored) ranked.push_back(entry.engine);
   return ranked;
 }
 

@@ -1,28 +1,28 @@
 // exec::Router — cost-based dispatch over all three engines.
 //
-// EXPERIMENTS.md E1 shows no single engine wins: PathIndex dominates
-// concrete and value paths (Q1/Q2/Q5), NodeIndex wins selective `//`
-// value joins (Q4/Q6), and ViST's structure-encoded matching wins
-// branching + wildcard patterns (Q7/Q8). The router keeps all three
-// loaded over the same document set, extracts plan features per query
-// (exec/plan_features.h), scores each engine with a small cost model, and
-// dispatches to the cheapest.
+// EXPERIMENTS.md E7 shows no single engine wins: PathIndex is fastest on
+// concrete and value paths (Q1/Q2/Q5), NodeIndex on Q6's selective `//`
+// value join, and ViST's structure-encoded matching on Q3/Q4/Q7/Q8. The
+// router keeps all three loaded over the same document set, extracts plan
+// features per query (exec/plan_features.h), scores each engine with a
+// small cost model, and dispatches to the cheapest.
 //
-// The cost model has two layers:
+// The cost model is learned from live traffic alone: after every routed
+// query the router folds the observed QueryProfile cost (wall time, with
+// index_nodes_accessed, range_scans and joins as a tiebreaker) into a
+// per-plan-feature-bucket EWMA for the engine that ran it, and ranks the
+// engines by it (`router.mispick_corrections` counts the ranking
+// flipping). Cold buckets round-robin the engines until each has three
+// observations, and a periodic exploration query (every 64th in a warm
+// bucket) keeps the non-preferred engines' estimates fresh.
 //
-//   * A static prior encoding the E1 shape: concrete paths → PathIndex,
-//     `//` without wildcards → NodeIndex, wildcards + `//` or branching →
-//     ViST, scaled by name selectivity from router-maintained corpus
-//     stats.
-//   * A learned layer: after every routed query the router folds the
-//     observed QueryProfile cost columns (index_nodes_accessed,
-//     range_scans, joins) into a per-plan-feature-bucket EWMA for the
-//     engine that ran it. Once every engine has enough observations in a
-//     bucket, the EWMAs replace the prior — so a mispredicting prior
-//     self-corrects under live traffic (`router.mispick_corrections`).
-//     Cold buckets round-robin the engines to gather observations, and a
-//     periodic exploration query (every 64th in a warm bucket) keeps the
-//     non-preferred engines' estimates fresh.
+// Plans: `Prepare` only extracts the plan features. `QueryWithPlan`
+// compiles and runs the query on the engine it ranks first and fails over
+// to the next-ranked engine when that one cannot compile it
+// (NotSupported), so a routed query compiles once on the engine that
+// answers. Because compilation happens at execution, a router plan sees
+// every name interned before it runs, unlike the engine plans that
+// queryable_index.h describes.
 //
 // Composition contract (the reason the router is itself a
 // QueryableIndex): mutations fan out to all three engines under the
@@ -103,16 +103,19 @@ class Router : public QueryableIndex {
   /// all three engines.
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
 
-  /// Compiles `path` on every engine and bundles the plans with the
-  /// extracted features. The routing decision is NOT baked in: each
-  /// execution re-picks, so a reused plan keeps benefiting from feedback.
+  /// Extracts the plan features of `path` and compiles nothing: the
+  /// engine is picked, and compiles the query, per execution, so a reused
+  /// plan keeps benefiting from feedback. Fails only on a malformed path.
   Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) override;
 
-  /// Executes `plan` on the predicted-cheapest engine; returns sorted
-  /// matching doc ids, byte-identical to what any single engine returns.
-  /// An engine answering NotSupported (ViST's permutation-expansion cap)
-  /// fails over to the next-cheapest engine (`router.failovers`).
+  /// Compiles and executes `plan`'s path on the predicted-cheapest engine;
+  /// returns sorted matching doc ids, byte-identical to what any single
+  /// engine returns. An engine that cannot compile the query
+  /// (NotSupported, e.g. ViST's permutation-expansion cap) fails over to
+  /// the next-ranked engine (`router.failovers`); NotSupported comes back
+  /// only when no engine can compile it. A verified query runs on ViST
+  /// alone.
   Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) override;
 
@@ -146,13 +149,10 @@ class Router : public QueryableIndex {
     uint64_t queries = 0;
   };
 
-  /// Ranks the engines in `candidates` (bitmask by Engine index) from
-  /// predicted-cheapest to dearest for this bucket, applying cold-start
-  /// round-robin and periodic exploration. Bumps the bucket's query
-  /// count.
-  std::vector<Engine> RankEngines(uint32_t bucket_key,
-                                  const PlanFeatures& features,
-                                  double selectivity, unsigned candidates);
+  /// Ranks all engines from predicted-cheapest to dearest for this
+  /// bucket by observed EWMA, applying cold-start round-robin and
+  /// periodic exploration. Bumps the bucket's query count.
+  std::vector<Engine> RankEngines(uint32_t bucket_key);
 
   /// Folds one observed query cost into the bucket's EWMA for `engine`,
   /// counting a mispick correction when the observed argmin changes.

@@ -78,29 +78,22 @@ ServerOptions Sanitize(ServerOptions options) {
 
 }  // namespace
 
-Status VistIndexWriter::Insert(std::string_view xml, uint64_t doc_id) {
+template <typename Index>
+Status IndexWriter<Index>::Insert(std::string_view xml, uint64_t doc_id) {
   auto doc = xml::Parse(xml);
   if (!doc.ok()) return doc.status();
   return index_->InsertDocument(*doc->root(), doc_id);
 }
 
-Status VistIndexWriter::Delete(std::string_view xml, uint64_t doc_id) {
+template <typename Index>
+Status IndexWriter<Index>::Delete(std::string_view xml, uint64_t doc_id) {
   auto doc = xml::Parse(xml);
   if (!doc.ok()) return doc.status();
   return index_->DeleteDocument(*doc->root(), doc_id);
 }
 
-Status RouterWriter::Insert(std::string_view xml, uint64_t doc_id) {
-  auto doc = xml::Parse(xml);
-  if (!doc.ok()) return doc.status();
-  return router_->InsertDocument(*doc->root(), doc_id);
-}
-
-Status RouterWriter::Delete(std::string_view xml, uint64_t doc_id) {
-  auto doc = xml::Parse(xml);
-  if (!doc.ok()) return doc.status();
-  return router_->DeleteDocument(*doc->root(), doc_id);
-}
+template class IndexWriter<VistIndex>;
+template class IndexWriter<exec::Router>;
 
 VistServer::VistServer(QueryableIndex* index, DocumentWriter* writer,
                        const ServerOptions& options)

@@ -93,35 +93,30 @@ class DocumentWriter {
   virtual Status Delete(std::string_view xml, uint64_t doc_id) = 0;
 };
 
-/// DocumentWriter over a VistIndex (borrowed; must outlive the writer).
-/// Typically the same VistIndex sits wrapped in an exec::CachingIndex on
-/// the server's query side; mutations here bump the index epoch, which is
-/// exactly the cache's invalidation signal.
-class VistIndexWriter : public DocumentWriter {
+/// DocumentWriter over any index whose InsertDocument/DeleteDocument take
+/// a parsed document root and a doc id (borrowed; must outlive the
+/// writer). Typically the same index sits wrapped in an exec::CachingIndex
+/// on the server's query side; mutations here bump the index epoch, which
+/// is exactly the cache's invalidation signal. server.cc instantiates it
+/// for a VistIndex and for an exec::Router, whose mutations fan out to all
+/// three engines under the router's writer lock.
+template <typename Index>
+class IndexWriter : public DocumentWriter {
  public:
-  explicit VistIndexWriter(VistIndex* index) : index_(index) {}
+  explicit IndexWriter(Index* index) : index_(index) {}
 
   Status Insert(std::string_view xml, uint64_t doc_id) override;
   Status Delete(std::string_view xml, uint64_t doc_id) override;
 
  private:
-  VistIndex* const index_;
+  Index* const index_;
 };
 
-/// DocumentWriter over an exec::Router (borrowed; must outlive the
-/// writer): mutations fan out to all three engines under the router's
-/// writer lock, bumping the router's epoch — the invalidation signal for
-/// an exec::CachingIndex wrapping the same router on the query side.
-class RouterWriter : public DocumentWriter {
- public:
-  explicit RouterWriter(exec::Router* router) : router_(router) {}
+extern template class IndexWriter<VistIndex>;
+extern template class IndexWriter<exec::Router>;
 
-  Status Insert(std::string_view xml, uint64_t doc_id) override;
-  Status Delete(std::string_view xml, uint64_t doc_id) override;
-
- private:
-  exec::Router* const router_;
-};
+using VistIndexWriter = IndexWriter<VistIndex>;
+using RouterWriter = IndexWriter<exec::Router>;
 
 struct ServerOptions {
   /// Port to listen on (loopback). 0 asks the kernel for an ephemeral

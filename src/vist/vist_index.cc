@@ -115,6 +115,16 @@ Status ParseRootRecord(const std::string& value, NodeRecord* record) {
   return Status::OK();
 }
 
+// A sequence carries no document text. On an index that stores documents,
+// a sequence insert would leave verification nothing to read and a
+// sequence delete would leave the text behind, so the sequence entry
+// points refuse such an index.
+Status SequenceWriteOnDocumentStore() {
+  return Status::InvalidArgument(
+      "an index that stores documents takes InsertDocument and "
+      "DeleteDocument, not sequences");
+}
+
 // VistIndex's compiled form: the query tree (needed again at execution
 // time for verified queries) plus the query sequences matched against the
 // virtual suffix tree.
@@ -342,6 +352,7 @@ Result<std::shared_ptr<const Snapshot>> VistIndex::GetSnapshot() {
 
 Status VistIndex::InsertSequence(const Sequence& sequence, uint64_t doc_id) {
   return Mutate([&](uint64_t epoch) {
+    if (options_.store_documents) return SequenceWriteOnDocumentStore();
     return store_->Write(epoch,
                          [&] { return InsertSequenceImpl(sequence, doc_id); });
   });
@@ -461,6 +472,7 @@ Status VistIndex::InsertUnderflowRun(const Sequence& sequence,
 Status VistIndex::BulkLoadSequences(
     const std::vector<std::pair<uint64_t, Sequence>>& documents) {
   return Mutate([&](uint64_t epoch) {
+    if (options_.store_documents) return SequenceWriteOnDocumentStore();
     return store_->Write(epoch,
                          [&] { return BulkLoadSequencesImpl(documents); });
   });
@@ -573,6 +585,7 @@ Result<bool> VistIndex::TryDelete(const Sequence& sequence, size_t i,
 
 Status VistIndex::DeleteSequence(const Sequence& sequence, uint64_t doc_id) {
   return Mutate([&](uint64_t epoch) {
+    if (options_.store_documents) return SequenceWriteOnDocumentStore();
     return store_->Write(epoch,
                          [&] { return DeleteSequenceImpl(sequence, doc_id); });
   });

@@ -120,7 +120,9 @@ class VistIndex : public QueryableIndex {
   /// published and readers keep seeing the previous version.
   Status InsertDocument(const xml::Node& root, uint64_t doc_id);
 
-  /// Indexes a pre-built sequence (no document store entry).
+  /// Indexes a pre-built sequence. InvalidArgument when the index stores
+  /// documents, like every sequence entry point: a sequence carries no
+  /// document text.
   Status InsertSequence(const Sequence& sequence, uint64_t doc_id);
 
   /// Bulk-loads a whole corpus into a still-empty index. Runs the same
@@ -130,12 +132,15 @@ class VistIndex : public QueryableIndex {
   /// pages densely and clusters D-key ranges — the locality a
   /// one-at-a-time build cannot get. Memory: O(total entries).
   /// One copy-on-write transaction: concurrent readers see the empty
-  /// index until the load commits, then the full corpus.
+  /// index until the load commits, then the full corpus. InvalidArgument
+  /// when the index stores documents.
   Status BulkLoadSequences(
       const std::vector<std::pair<uint64_t, Sequence>>& documents);
 
   /// Removes a document previously inserted with this exact content.
   Status DeleteDocument(const xml::Node& root, uint64_t doc_id);
+  /// Removes a sequence previously inserted with InsertSequence or
+  /// BulkLoadSequences; InvalidArgument when the index stores documents.
   Status DeleteSequence(const Sequence& sequence, uint64_t doc_id);
 
   /// Compiles a path expression (parse → query tree → query sequences

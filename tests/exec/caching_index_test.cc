@@ -106,20 +106,8 @@ TEST_F(CachingIndexTest, EveryMutatingEntryPointBumpsEpochExactlyOnce) {
   ASSERT_TRUE(index->InsertDocument(*doc.root(), 1).ok());
   EXPECT_EQ(index->epoch(), ++epoch) << "InsertDocument";
 
-  Sequence seq = BuildSequence(*doc.root(), index->symbols());
-  ASSERT_TRUE(index->InsertSequence(seq, 2).ok());
-  EXPECT_EQ(index->epoch(), ++epoch) << "InsertSequence";
-
-  ASSERT_TRUE(index->DeleteSequence(seq, 2).ok());
-  EXPECT_EQ(index->epoch(), ++epoch) << "DeleteSequence";
-
   ASSERT_TRUE(index->DeleteDocument(*doc.root(), 1).ok());
   EXPECT_EQ(index->epoch(), ++epoch) << "DeleteDocument";
-
-  std::vector<std::pair<uint64_t, Sequence>> bulk;
-  bulk.emplace_back(3, seq);
-  ASSERT_TRUE(index->BulkLoadSequences(bulk).ok());
-  EXPECT_EQ(index->epoch(), ++epoch) << "BulkLoadSequences";
 
   ASSERT_TRUE(index->Flush().ok());
   EXPECT_EQ(index->epoch(), ++epoch) << "Flush";
@@ -127,6 +115,23 @@ TEST_F(CachingIndexTest, EveryMutatingEntryPointBumpsEpochExactlyOnce) {
   // Queries must not bump.
   ASSERT_TRUE(index->Query("/doc/u1").ok());
   EXPECT_EQ(index->epoch(), epoch);
+
+  // The sequence entry points, on an index without a document store (one
+  // that stores documents refuses them).
+  auto sequences = VistIndex::Create(dir_ + "/sequences", VistOptions());
+  ASSERT_TRUE(sequences.ok());
+  uint64_t seq_epoch = (*sequences)->epoch();
+  Sequence seq = BuildSequence(*doc.root(), (*sequences)->symbols());
+  ASSERT_TRUE((*sequences)->InsertSequence(seq, 2).ok());
+  EXPECT_EQ((*sequences)->epoch(), ++seq_epoch) << "InsertSequence";
+
+  ASSERT_TRUE((*sequences)->DeleteSequence(seq, 2).ok());
+  EXPECT_EQ((*sequences)->epoch(), ++seq_epoch) << "DeleteSequence";
+
+  std::vector<std::pair<uint64_t, Sequence>> bulk;
+  bulk.emplace_back(3, seq);
+  ASSERT_TRUE((*sequences)->BulkLoadSequences(bulk).ok());
+  EXPECT_EQ((*sequences)->epoch(), ++seq_epoch) << "BulkLoadSequences";
 
   // Baselines: same protocol.
   SymbolTable symtab;
@@ -182,18 +187,32 @@ TEST_F(CachingIndexTest, RejectedMutationBumpsOnceAndPublishesNothing) {
   // than growing the file.
   ASSERT_TRUE(index->Flush().ok());
   Sequence seq = BuildSequence(*doc.root(), index->symbols());
-  ExpectRejectedMutation(index.get(), "empty-sequence insert", [&] {
-    return index->InsertSequence(Sequence(), 2);
-  });
   ExpectRejectedMutation(index.get(), "delete of an absent document", [&] {
     return index->DeleteDocument(*doc.root(), 7);
   });
-  ExpectRejectedMutation(index.get(), "bulk load into a non-empty index", [&] {
-    return index->BulkLoadSequences({{3, seq}});
-  });
+  // A sequence carries no document text, so an index that stores
+  // documents refuses sequence writes.
+  ExpectRejectedMutation(index.get(), "sequence insert into a document store",
+                         [&] { return index->InsertSequence(seq, 2); });
+  ExpectRejectedMutation(index.get(), "sequence delete from a document store",
+                         [&] { return index->DeleteSequence(seq, 1); });
   auto still = index->Query("/doc/u1");
   ASSERT_TRUE(still.ok());
   EXPECT_EQ(*still, std::vector<uint64_t>{1});
+
+  // The sequence entry points' own rejections, on an index without a
+  // document store.
+  auto plain = VistIndex::Create(dir_ + "/plain", VistOptions());
+  ASSERT_TRUE(plain.ok());
+  Sequence plain_seq = BuildSequence(*doc.root(), (*plain)->symbols());
+  ASSERT_TRUE((*plain)->InsertSequence(plain_seq, 1).ok());
+  ASSERT_TRUE((*plain)->Flush().ok());
+  ExpectRejectedMutation(plain->get(), "empty-sequence insert", [&] {
+    return (*plain)->InsertSequence(Sequence(), 2);
+  });
+  ExpectRejectedMutation(plain->get(), "bulk load into a non-empty index", [&] {
+    return (*plain)->BulkLoadSequences({{3, plain_seq}});
+  });
 
   auto paths = PathIndex::Create(dir_ + "/paths", index->symbols());
   ASSERT_TRUE(paths.ok());

@@ -1,14 +1,25 @@
 // exec::ExtractPlanFeatures unit tests: golden feature vectors for the
 // EXPERIMENTS.md E1 query set (Q1-Q8) — the exact shapes the router's
 // cost model keys on — plus malformed/empty-path edges and the
-// selectivity estimator against hand-built corpus statistics.
+// selectivity estimator against hand-built corpus statistics. Then what
+// exec::Router decides from them: its cold-bucket round-robin and its
+// failover, read from the router.picks.* and router.failovers counters.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "baseline/node_index.h"
+#include "baseline/path_index.h"
 #include "exec/plan_features.h"
+#include "exec/router.h"
+#include "obs/metrics.h"
+#include "vist/vist_index.h"
+#include "xml/parser.h"
 
 namespace vist {
 namespace exec {
@@ -22,98 +33,74 @@ PlanFeatures MustExtract(const std::string& path) {
 
 TEST(PlanFeaturesTest, Q1PlainPath) {
   PlanFeatures f = MustExtract("/inproceedings/title");
-  EXPECT_EQ(f.steps, 2u);
-  EXPECT_EQ(f.wildcards, 0u);
-  EXPECT_EQ(f.descendant_axes, 0u);
-  EXPECT_EQ(f.first_descendant_pos, 2u);  // == spine length: no '//'
+  EXPECT_FALSE(f.has_wildcard);
+  EXPECT_FALSE(f.has_descendant);
   EXPECT_EQ(f.branch_predicates, 0u);
-  EXPECT_EQ(f.value_predicates, 0u);
-  EXPECT_EQ(f.leaf_paths, 1u);
+  EXPECT_FALSE(f.has_value);
   EXPECT_EQ(f.names, (std::vector<std::string>{"inproceedings", "title"}));
 }
 
 TEST(PlanFeaturesTest, Q2ValuePredicate) {
   PlanFeatures f = MustExtract("/book/author[text()='David']");
-  EXPECT_EQ(f.steps, 2u);
-  EXPECT_EQ(f.wildcards, 0u);
-  EXPECT_EQ(f.descendant_axes, 0u);
+  EXPECT_FALSE(f.has_wildcard);
+  EXPECT_FALSE(f.has_descendant);
   EXPECT_EQ(f.branch_predicates, 0u);  // '[text()=v]' tests the step itself
-  EXPECT_EQ(f.value_predicates, 1u);
-  EXPECT_EQ(f.leaf_paths, 2u);  // spine + the value leaf
+  EXPECT_TRUE(f.has_value);
   EXPECT_EQ(f.names, (std::vector<std::string>{"book", "author"}));
 }
 
 TEST(PlanFeaturesTest, Q3WildcardNoDescendant) {
   PlanFeatures f = MustExtract("/*/author[text()='David']");
-  EXPECT_EQ(f.steps, 2u);
-  EXPECT_EQ(f.wildcards, 1u);
-  EXPECT_EQ(f.descendant_axes, 0u);
-  EXPECT_EQ(f.value_predicates, 1u);
-  EXPECT_EQ(f.leaf_paths, 2u);
+  EXPECT_TRUE(f.has_wildcard);
+  EXPECT_FALSE(f.has_descendant);
+  EXPECT_TRUE(f.has_value);
   EXPECT_EQ(f.names, (std::vector<std::string>{"author"}));
 }
 
 TEST(PlanFeaturesTest, Q4DescendantNoWildcard) {
   PlanFeatures f = MustExtract("//author[text()='David']");
-  EXPECT_EQ(f.steps, 1u);
-  EXPECT_EQ(f.wildcards, 0u);
-  EXPECT_EQ(f.descendant_axes, 1u);
-  EXPECT_EQ(f.first_descendant_pos, 0u);  // unbounded from the root
-  EXPECT_EQ(f.value_predicates, 1u);
-  EXPECT_EQ(f.leaf_paths, 2u);
+  EXPECT_FALSE(f.has_wildcard);
+  EXPECT_TRUE(f.has_descendant);
+  EXPECT_TRUE(f.has_value);
   EXPECT_EQ(f.names, (std::vector<std::string>{"author"}));
 }
 
 TEST(PlanFeaturesTest, Q5BranchPredicate) {
   PlanFeatures f = MustExtract("/book[key='books/bc/MaierW88']/author");
-  EXPECT_EQ(f.steps, 3u);  // book, author + the predicate's key step
-  EXPECT_EQ(f.wildcards, 0u);
-  EXPECT_EQ(f.descendant_axes, 0u);
+  EXPECT_FALSE(f.has_wildcard);
+  EXPECT_FALSE(f.has_descendant);
   EXPECT_EQ(f.branch_predicates, 1u);
-  EXPECT_EQ(f.value_predicates, 1u);  // the same predicate carries both
-  EXPECT_EQ(f.leaf_paths, 2u);
+  EXPECT_TRUE(f.has_value);  // the same predicate carries both
   EXPECT_EQ(f.names, (std::vector<std::string>{"book", "key", "author"}));
 }
 
 TEST(PlanFeaturesTest, Q6DeepDescendantWithBranch) {
   PlanFeatures f = MustExtract(
       "/site//item[location='US']/mailbox/mail/date[text()='12/15/1999']");
-  EXPECT_EQ(f.steps, 6u);  // 5 spine steps + the location predicate step
-  EXPECT_EQ(f.wildcards, 0u);
-  EXPECT_EQ(f.descendant_axes, 1u);
-  EXPECT_EQ(f.first_descendant_pos, 1u);  // '//' right after /site
+  EXPECT_FALSE(f.has_wildcard);
+  EXPECT_TRUE(f.has_descendant);
   EXPECT_EQ(f.branch_predicates, 1u);
-  EXPECT_EQ(f.value_predicates, 2u);
-  EXPECT_EQ(f.leaf_paths, 3u);
+  EXPECT_TRUE(f.has_value);
   EXPECT_EQ(f.names, (std::vector<std::string>{"site", "item", "location",
                                                "mailbox", "mail", "date"}));
 }
 
 TEST(PlanFeaturesTest, Q7WildcardPlusDescendant) {
   PlanFeatures f = MustExtract("/site//person/*/city[text()='Pocatello']");
-  EXPECT_EQ(f.steps, 4u);
-  EXPECT_EQ(f.wildcards, 1u);
-  EXPECT_EQ(f.descendant_axes, 1u);
-  EXPECT_EQ(f.first_descendant_pos, 1u);
+  EXPECT_TRUE(f.has_wildcard);
+  EXPECT_TRUE(f.has_descendant);
   EXPECT_EQ(f.branch_predicates, 0u);
-  EXPECT_EQ(f.value_predicates, 1u);
-  EXPECT_EQ(f.leaf_paths, 2u);
+  EXPECT_TRUE(f.has_value);
   EXPECT_EQ(f.names, (std::vector<std::string>{"site", "person", "city"}));
 }
 
 TEST(PlanFeaturesTest, Q8NestedBranchesWithWildcard) {
   PlanFeatures f = MustExtract(
       "//closed_auction[*[person='person1']]/date[text()='12/15/1999']");
-  EXPECT_EQ(f.steps, 4u);  // closed_auction, date + predicate's *, person
-  EXPECT_EQ(f.wildcards, 1u);
-  EXPECT_EQ(f.descendant_axes, 1u);
-  EXPECT_EQ(f.first_descendant_pos, 0u);
+  EXPECT_TRUE(f.has_wildcard);
+  EXPECT_TRUE(f.has_descendant);
   EXPECT_EQ(f.branch_predicates, 2u);  // [*[...]] and the nested [person=v]
-  EXPECT_EQ(f.value_predicates, 2u);
-  // Spine terminal + date's value leaf + the nested branch's two list
-  // terminals ('*' and person): one per root-to-leaf chain the engines
-  // must join.
-  EXPECT_EQ(f.leaf_paths, 4u);
+  EXPECT_TRUE(f.has_value);
   EXPECT_EQ(f.names,
             (std::vector<std::string>{"closed_auction", "person", "date"}));
 }
@@ -130,8 +117,8 @@ TEST(PlanFeaturesTest, ExtractionOutlivesTreeLowering) {
   // trailing wildcard cannot be a sequence element), but extraction must
   // still succeed so the router can dispatch and surface that error.
   PlanFeatures f = MustExtract("/a/*");
-  EXPECT_EQ(f.steps, 2u);
-  EXPECT_EQ(f.wildcards, 1u);
+  EXPECT_TRUE(f.has_wildcard);
+  EXPECT_EQ(f.names, std::vector<std::string>{"a"});
 }
 
 TEST(PlanFeaturesTest, SelectivityIsTightestName) {
@@ -155,6 +142,94 @@ TEST(PlanFeaturesTest, SelectivityDefaultsToOne) {
   stats.frequency = {{"book", 1}};
   stats.total_elements = 10;
   EXPECT_DOUBLE_EQ(EstimateSelectivity(MustExtract("/*"), stats), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Routing decisions. The metrics registry is process-wide, so the tests
+// read counter deltas.
+
+class RouterDecisionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("vist_router_decision_" + std::to_string(getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+               .string();
+    std::filesystem::remove_all(dir_);
+    auto vist = VistIndex::Create(dir_ + "/vist", VistOptions());
+    ASSERT_TRUE(vist.ok()) << vist.status().ToString();
+    vist_ = std::move(vist).value();
+    auto paths = PathIndex::Create(dir_ + "/paths", vist_->symbols());
+    ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+    paths_ = std::move(paths).value();
+    auto nodes = NodeIndex::Create(dir_ + "/nodes", vist_->symbols());
+    ASSERT_TRUE(nodes.ok()) << nodes.status().ToString();
+    nodes_ = std::move(nodes).value();
+    router_ = std::make_unique<Router>(vist_.get(), paths_.get(),
+                                       nodes_.get());
+  }
+
+  void TearDown() override {
+    // The ViST index owns the symbol table the baselines borrow.
+    router_.reset();
+    nodes_.reset();
+    paths_.reset();
+    vist_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  void Insert(const std::string& text, uint64_t doc_id) {
+    auto doc = xml::Parse(text);
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    ASSERT_TRUE(router_->InsertDocument(*doc->root(), doc_id).ok());
+  }
+
+  static uint64_t Picks(const std::string& engine) {
+    return obs::GetCounter("router.picks." + engine).value();
+  }
+
+  std::string dir_;
+  std::unique_ptr<VistIndex> vist_;
+  std::unique_ptr<PathIndex> paths_;
+  std::unique_ptr<NodeIndex> nodes_;
+  std::unique_ptr<Router> router_;
+};
+
+TEST_F(RouterDecisionTest, ColdBucketRunsEachEngineThreeTimes) {
+  for (uint64_t id = 1; id <= 4; ++id) {
+    Insert("<doc><item>v" + std::to_string(id) + "</item></doc>", id);
+  }
+  const uint64_t vist = Picks("vist");
+  const uint64_t path = Picks("path");
+  const uint64_t node = Picks("node");
+  for (int i = 0; i < 9; ++i) {
+    auto ids = router_->Query("/doc/item[text()='v2']");
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    EXPECT_EQ(*ids, std::vector<uint64_t>{2});
+  }
+  EXPECT_EQ(Picks("vist") - vist, 3u);
+  EXPECT_EQ(Picks("path") - path, 3u);
+  EXPECT_EQ(Picks("node") - node, 3u);
+}
+
+TEST_F(RouterDecisionTest, FailsOverWhenVistCannotCompile) {
+  Insert("<r><x>1</x><x>2</x><x>3</x><x>4</x><x>5</x></r>", 1);
+  // Five same-named branches expand to 5! = 120 query sequences, past
+  // ViST's cap of 64 alternatives; the baselines compile it.
+  constexpr char kQuery[] = "/r[x='1'][x='2'][x='3'][x='4'][x='5']";
+  EXPECT_TRUE(vist_->Query(kQuery).status().IsNotSupported());
+  auto expected = nodes_->Query(kQuery);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(*expected, std::vector<uint64_t>{1});
+
+  const uint64_t failovers = obs::GetCounter("router.failovers").value();
+  const uint64_t vist_picks = Picks("vist");
+  auto routed = router_->Query(kQuery);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+  EXPECT_EQ(*routed, *expected);
+  EXPECT_GT(obs::GetCounter("router.failovers").value(), failovers);
+  // A pick counts the engine that answered, not the one that failed.
+  EXPECT_EQ(Picks("vist"), vist_picks);
 }
 
 }  // namespace

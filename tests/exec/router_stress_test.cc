@@ -101,9 +101,9 @@ TEST(RouterStressTest, ReadersSeeWholeMutationsWhileWriterChurns) {
     readers.emplace_back([&, t] {
       uint64_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        // One reader runs the Prepare + QueryWithPlan path (plans hold
-        // per-engine plan slots); the rest use one-shot Query. All of
-        // them rotate through the shape mix.
+        // One reader runs the Prepare + QueryWithPlan path (a plan holds
+        // the features; the engine compiles at execution); the rest use
+        // one-shot Query. All of them rotate through the shape mix.
         const char* shape = kReaderQueries[(t + i) % 4];
         Result<std::vector<uint64_t>> result = std::vector<uint64_t>{};
         if (t == 0) {
