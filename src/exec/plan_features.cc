@@ -33,6 +33,9 @@ void WalkSteps(const std::vector<query::Step>& steps, PlanFeatures* out) {
 
 Result<PlanFeatures> ExtractPlanFeatures(std::string_view path) {
   VIST_ASSIGN_OR_RETURN(query::PathExpr expr, query::ParsePath(path));
+  // Every engine lowers the path to this tree, so a shape it refuses no
+  // engine can answer.
+  VIST_RETURN_IF_ERROR(query::BuildQueryTree(expr).status());
   PlanFeatures features;
   WalkSteps(expr.steps, &features);
   return features;

@@ -7,9 +7,10 @@
 // descendant-axis and value presence, branch fan-out, and the selectivity
 // of the concrete names.
 //
-// Extraction is pure parsing (query::ParsePath); it never touches an
-// index, so it works identically for every engine and costs microseconds
-// (the router times it into `router.feature_extraction_us`).
+// Extraction is pure parsing and lowering (query::ParsePath,
+// query::BuildQueryTree); it never touches an index, so it works
+// identically for every engine and costs microseconds (the router times it
+// into `router.feature_extraction_us`).
 
 #ifndef VIST_EXEC_PLAN_FEATURES_H_
 #define VIST_EXEC_PLAN_FEATURES_H_
@@ -41,10 +42,11 @@ struct PlanFeatures {
   std::vector<std::string> names;
 };
 
-/// Parses `path` and extracts its features. Fails exactly when
-/// query::ParsePath fails (empty or malformed expressions); it does NOT
-/// reject shapes the engines' tree lowering rejects later ("/a/*"), so the
-/// router can still score and dispatch them and surface the engine's error.
+/// Parses `path`, lowers it once to a query tree, and extracts its
+/// features. Fails when query::ParsePath fails (empty or malformed
+/// expressions) and with query::BuildQueryTree's NotSupported for shapes
+/// every engine's lowering rejects ("/a/*"), so the router refuses those
+/// in Prepare instead of trying each engine.
 Result<PlanFeatures> ExtractPlanFeatures(std::string_view path);
 
 /// Corpus name statistics a selectivity estimate resolves against. The

@@ -283,6 +283,7 @@ Result<std::vector<uint64_t>> Router::QueryWithPlan(
     // exceeded, I/O — is the query's real outcome; retrying elsewhere
     // would burn the caller's budget.
     if (!result.status().IsNotSupported()) return result.status();
+    if (!options.verify) MarkUnsupported(bucket_key, pick);
     not_supported = result.status();
   }
   return not_supported;
@@ -299,13 +300,19 @@ std::vector<Router::Engine> Router::RankEngines(uint32_t bucket_key) {
     return bucket.engines[static_cast<size_t>(engine)];
   };
   const auto cold = [&stat](Engine engine) {
-    return stat(engine).observations < kMinObservations;
+    return !stat(engine).unsupported &&
+           stat(engine).observations < kMinObservations;
+  };
+  const auto unsupported = [&stat](Engine engine) {
+    return stat(engine).unsupported;
   };
   // Cold engines first, least-observed first, so a cold bucket runs each
   // engine kMinObservations times; then the warm ones, cheapest observed
-  // cost first. Ties keep Engine order, so a fresh bucket starts on ViST.
+  // cost first; then those that could not compile the bucket's queries.
+  // Ties keep Engine order, so a fresh bucket starts on ViST.
   std::stable_sort(ranked.begin(), ranked.end(), [&](Engine a, Engine b) {
     if (cold(a) != cold(b)) return cold(a);
+    if (unsupported(a) != unsupported(b)) return unsupported(b);
     return cold(a) ? stat(a).observations < stat(b).observations
                    : stat(a).ewma_cost < stat(b).ewma_cost;
   });
@@ -357,12 +364,22 @@ void Router::RecordObservation(uint32_t bucket_key, Engine engine,
                        ? cost
                        : kEwmaAlpha * cost + (1 - kEwmaAlpha) * stat.ewma_cost;
   ++stat.observations;
+  stat.unsupported = false;
   const int after = observed_argmin(bucket);
   // The argmin flipping means live traffic just proved the previous
   // preference wrong — the self-correction the feedback loop exists for.
   if (before >= 0 && after >= 0 && before != after) {
     corrections.Increment();
   }
+}
+
+void Router::MarkUnsupported(uint32_t bucket_key, Engine engine) {
+  MutexLock lock(feedback_mu_);
+  EngineStat& stat =
+      feedback_[bucket_key].engines[static_cast<size_t>(engine)];
+  // An engine that has answered in this bucket keeps its history: its
+  // queries mix shapes, and failover covers the odd one it cannot compile.
+  if (stat.observations == 0) stat.unsupported = true;
 }
 
 Result<IndexStats> Router::Stats() {

@@ -1,11 +1,10 @@
 // exec::Router — cost-based dispatch over all three engines.
 //
 // EXPERIMENTS.md E7 shows no single engine wins: PathIndex is fastest on
-// concrete and value paths (Q1/Q2/Q5), NodeIndex on Q6's selective `//`
-// value join, and ViST's structure-encoded matching on Q3/Q4/Q7/Q8. The
-// router keeps all three loaded over the same document set, extracts plan
-// features per query (exec/plan_features.h), scores each engine with a
-// small cost model, and dispatches to the cheapest.
+// the plain and value paths Q1/Q2, and ViST's structure-encoded matching
+// on Q3-Q8. The router keeps all three loaded over the same document
+// set, extracts plan features per query (exec/plan_features.h), scores
+// each engine with a small cost model, and dispatches to the cheapest.
 //
 // The cost model is learned from live traffic alone: after every routed
 // query the router folds the observed QueryProfile cost (wall time, with
@@ -14,15 +13,17 @@
 // engines by it (`router.mispick_corrections` counts the ranking
 // flipping). Cold buckets round-robin the engines until each has three
 // observations, and a periodic exploration query (every 64th in a warm
-// bucket) keeps the non-preferred engines' estimates fresh.
+// bucket) keeps the non-preferred engines' estimates fresh. An engine
+// that answers NotSupported before it has answered any query in a bucket
+// ranks last there until an exploration query finds it answering.
 //
-// Plans: `Prepare` only extracts the plan features. `QueryWithPlan`
-// compiles and runs the query on the engine it ranks first and fails over
-// to the next-ranked engine when that one cannot compile it
-// (NotSupported), so a routed query compiles once on the engine that
-// answers. Because compilation happens at execution, a router plan sees
-// every name interned before it runs, unlike the engine plans that
-// queryable_index.h describes.
+// Plans: `Prepare` only extracts the plan features, which refuses a
+// shape no engine can lower. `QueryWithPlan` compiles and runs the query
+// on the engine it ranks first and fails over to the next-ranked engine
+// when that one cannot compile it (NotSupported), so a routed query
+// compiles once on the engine that answers. Because compilation happens
+// at execution, a router plan sees every name interned before it runs,
+// unlike the engine plans that queryable_index.h describes.
 //
 // Composition contract (the reason the router is itself a
 // QueryableIndex): mutations fan out to all three engines under the
@@ -105,7 +106,8 @@ class Router : public QueryableIndex {
 
   /// Extracts the plan features of `path` and compiles nothing: the
   /// engine is picked, and compiles the query, per execution, so a reused
-  /// plan keeps benefiting from feedback. Fails only on a malformed path.
+  /// plan keeps benefiting from feedback. Fails on a malformed path, and
+  /// with NotSupported on a shape no engine can lower ("/a/*").
   Result<std::shared_ptr<const QueryPlan>> Prepare(
       std::string_view path, const QueryOptions& options = {}) override;
 
@@ -113,9 +115,10 @@ class Router : public QueryableIndex {
   /// returns sorted matching doc ids, byte-identical to what any single
   /// engine returns. An engine that cannot compile the query
   /// (NotSupported, e.g. ViST's permutation-expansion cap) fails over to
-  /// the next-ranked engine (`router.failovers`); NotSupported comes back
-  /// only when no engine can compile it. A verified query runs on ViST
-  /// alone.
+  /// the next-ranked engine (`router.failovers`); if it has not yet
+  /// answered in the query's bucket, it ranks last there until it answers
+  /// a later probe. NotSupported comes back only when no engine can
+  /// compile it. A verified query runs on ViST alone.
   Result<std::vector<uint64_t>> QueryWithPlan(
       const QueryPlan& plan, const QueryOptions& options = {}) override;
 
@@ -143,6 +146,9 @@ class Router : public QueryableIndex {
   struct EngineStat {
     uint64_t observations = 0;
     double ewma_cost = 0;
+    /// The engine could not compile the bucket's queries before it
+    /// answered any: it ranks last until a success.
+    bool unsupported = false;
   };
   struct Bucket {
     std::array<EngineStat, kNumEngines> engines;
@@ -151,12 +157,17 @@ class Router : public QueryableIndex {
 
   /// Ranks all engines from predicted-cheapest to dearest for this
   /// bucket by observed EWMA, applying cold-start round-robin and
-  /// periodic exploration. Bumps the bucket's query count.
+  /// periodic exploration; engines that could not compile the bucket's
+  /// queries rank last. Bumps the bucket's query count.
   std::vector<Engine> RankEngines(uint32_t bucket_key);
 
   /// Folds one observed query cost into the bucket's EWMA for `engine`,
   /// counting a mispick correction when the observed argmin changes.
   void RecordObservation(uint32_t bucket_key, Engine engine, double cost);
+
+  /// Records that `engine` could not compile a query of the bucket
+  /// (NotSupported): it ranks last there if it has no observation yet.
+  void MarkUnsupported(uint32_t bucket_key, Engine engine);
 
   /// Applies one document to all three engines (inserting or deleting it)
   /// and the name statistics, then republishes the composite snapshot.

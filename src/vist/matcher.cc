@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "seq/key_codec.h"
+#include "seq/sequence.h"
 
 namespace vist {
 namespace {
@@ -35,6 +36,34 @@ struct BoundMatch {
   NodeRecord record;
 };
 
+// Credits an anchor seek costs: one root-to-leaf descent, where an anchor
+// entry costs one. The search earns one credit per range scan it opens.
+constexpr uint64_t kAnchorSeekCredits = 4;
+
+// The prefix lengths a D-key matching `pattern` can have: each symbol but
+// '//' takes one position, and '//' any number, up to `max_depth`.
+struct DepthRange {
+  size_t lo = 0;
+  size_t hi = 0;
+};
+
+DepthRange PatternDepths(const std::vector<Symbol>& pattern,
+                         uint64_t max_depth) {
+  DepthRange depths;
+  bool unbounded = false;
+  for (Symbol s : pattern) {
+    if (s == kDescendantSymbol) {
+      unbounded = true;
+    } else {
+      ++depths.lo;
+    }
+  }
+  depths.hi = unbounded ? std::max<uint64_t>(max_depth, depths.lo)
+                        : depths.lo;
+  depths.hi = std::min(depths.hi, kMaxPrefixDepth);
+  return depths;
+}
+
 class Searcher {
  public:
   Searcher(const MatchContext& context, const QuerySequence& query,
@@ -58,6 +87,10 @@ class Searcher {
       if (parent >= 0 && static_cast<size_t>(parent) < chain_end_) {
         bind_chain_ = true;
       }
+    }
+    last_ = query_.size() - 1;
+    if (last_ > chain_end_ && IsValueSymbol(query_[last_].symbol)) {
+      StartAnchors();
     }
     // The virtual root's scope encloses every node.
     Search(chain_end_, Scope{0, kMaxScope});
@@ -90,7 +123,7 @@ class Searcher {
   // Matches query elements qi.. inside `enclosing`, the scope of the node
   // matched for element qi-1 (S-Ancestorship: labels in (n, n+size)).
   void Search(size_t qi, const Scope& enclosing) {
-    if (!status_.ok()) return;
+    if (!status_.ok() || NoAnchors()) return;
     if (DeadlineExpired()) return;
     if (qi == query_.size()) {
       if (context_.collect_doc_ids) CollectDocIds(bound_[qi - 1].record);
@@ -122,8 +155,7 @@ class Searcher {
 
     if (known == pattern.size()) {
       // A concrete D-key: seek straight to its S-Ancestor range.
-      Count(&obs::QueryProfile::range_scans,
-            MatcherMetrics::Get().range_scans);
+      OpenRangeScan();
       BoundMatch& slot = bound_[qi];
       slot.symbol = elem.symbol;
       slot.prefix = std::move(pattern);
@@ -138,24 +170,13 @@ class Searcher {
 
     // '//' expands into "a series of '*' queries" (§3.3): one prefix-length
     // bucket per depth up to the deepest prefix in the index.
-    size_t depth_lo = 0;
-    bool unbounded = false;
     for (size_t i = known; i < pattern.size(); ++i) {
       VIST_CHECK(qi == chain_end_ || IsWildcardSymbol(pattern[i]))
           << "non-wildcard in instantiated pattern tail";
-      if (pattern[i] == kDescendantSymbol) {
-        unbounded = true;
-      } else {
-        ++depth_lo;
-      }
     }
-    depth_lo += known;
+    const DepthRange depths = PatternDepths(pattern, context_.max_depth);
     pattern.resize(known);
-    const size_t depth_hi =
-        unbounded ? std::max<uint64_t>(context_.max_depth, depth_lo)
-                  : depth_lo;
-    for (size_t depth = depth_lo;
-         depth <= depth_hi && depth <= kMaxPrefixDepth && status_.ok();
+    for (size_t depth = depths.lo; depth <= depths.hi && status_.ok();
          ++depth) {
       SearchDepth(qi, pattern, depth, enclosing);
     }
@@ -165,7 +186,7 @@ class Searcher {
   // symbols, and the concrete prefix head `known`, and scans each.
   void SearchDepth(size_t qi, const std::vector<Symbol>& known, size_t depth,
                    const Scope& enclosing) {
-    Count(&obs::QueryProfile::range_scans, MatcherMetrics::Get().range_scans);
+    OpenRangeScan();
     const std::string partial =
         EncodeDKeyPartial(query_[qi].symbol, depth, known);
     const std::string partial_end = PrefixRangeEnd(partial);
@@ -173,7 +194,7 @@ class Searcher {
 
     auto it = NewEntryIterator();
     it->Seek(partial);
-    while (status_.ok() && it->Valid() &&
+    while (status_.ok() && !NoAnchors() && it->Valid() &&
            (partial_end.empty() || it->key().Compare(partial_end) < 0)) {
       Slice dkey_slice;
       uint64_t parent_n = 0, n = 0;
@@ -229,6 +250,12 @@ class Searcher {
       }
       // A longer D-key sharing the byte prefix is out of group.
       if (seen_dkey != Slice(dkey) || parent_n >= parent_hi) break;
+      // Every binding from the chain end on is an anchor or an ancestor
+      // of one, and an ancestor's parent label lies below its descendants.
+      if (anchors_complete_ &&
+          (anchors_.empty() || parent_n >= anchors_.back())) {
+        break;
+      }
       NodeRecord record;
       if (!DecodeNodeRecord(it->value(), &record)) {
         status_ = Status::Corruption("malformed node record in index");
@@ -236,6 +263,7 @@ class Searcher {
       }
       record.n = n;
       record.parent_n = parent_n;
+      if (qi != last_ && !MayHoldLastMatch(record.scope())) continue;
       Count(&obs::QueryProfile::nodes_matched,
             MatcherMetrics::Get().nodes_matched);
       if (decode_dkey) {
@@ -321,6 +349,118 @@ class Searcher {
     }
   }
 
+  // Counts a range scan the search opens and spends the credit it earns on
+  // anchors.
+  void OpenRangeScan() {
+    Count(&obs::QueryProfile::range_scans, MatcherMetrics::Get().range_scans);
+    if (anchor_it_ == nullptr) return;
+    ++credit_;
+    CollectAnchors();
+  }
+
+  // Anchors (header: "Anchors"): the labels of the index nodes that match
+  // the last element's own pattern. The collection walks its D-key range
+  // like SearchDepth, one prefix length at a time, holding the next seek
+  // in anchor_seek_ until the search has earned its credits.
+  void StartAnchors() {
+    anchor_depths_ = PatternDepths(query_[last_].pattern, context_.max_depth);
+    for (Symbol s : query_[last_].pattern) {
+      if (IsWildcardSymbol(s)) break;
+      anchor_known_.push_back(s);
+    }
+    anchor_depth_ = anchor_depths_.lo;
+    anchor_seek_ = EncodeDKeyPartial(query_[last_].symbol, anchor_depth_,
+                                     anchor_known_);
+    anchor_end_ = PrefixRangeEnd(anchor_seek_);
+    anchor_it_ = NewEntryIterator();
+  }
+
+  // Collects anchors while the credit lasts: a seek costs
+  // kAnchorSeekCredits and counts as a range scan, an entry costs one.
+  void CollectAnchors() {
+    while (anchor_it_ != nullptr && status_.ok()) {
+      if (!anchor_seek_.empty()) {
+        if (credit_ < kAnchorSeekCredits) return;
+        credit_ -= kAnchorSeekCredits;
+        Count(&obs::QueryProfile::range_scans,
+              MatcherMetrics::Get().range_scans);
+        anchor_it_->Seek(anchor_seek_);
+        anchor_seek_.clear();
+        continue;
+      }
+      if (credit_ == 0) return;
+      --credit_;
+      if (DeadlineExpired()) return;
+      if (!anchor_it_->status().ok()) {
+        status_ = anchor_it_->status();
+        return;
+      }
+      if (!anchor_it_->Valid() ||
+          (!anchor_end_.empty() &&
+           anchor_it_->key().Compare(anchor_end_) >= 0)) {
+        NextAnchorDepth();
+        continue;
+      }
+      Count(&obs::QueryProfile::entries_scanned,
+            MatcherMetrics::Get().entries_scanned);
+      Slice dkey;
+      uint64_t parent_n = 0, n = 0;
+      if (!DecodeEntryKey(anchor_it_->key(), &dkey, &parent_n, &n)) {
+        status_ = Status::Corruption("malformed entry key in index");
+        return;
+      }
+      if (dkey != Slice(anchor_group_)) {
+        // A new group. The key range fixes its symbol, its prefix length
+        // and the prefix head; names after a wildcard are checked here.
+        anchor_group_ = dkey.ToString();
+        Symbol symbol = kInvalidSymbol;
+        std::vector<Symbol> prefix;
+        if (!DecodeDKey(dkey, &symbol, &prefix)) {
+          status_ = Status::Corruption("malformed D-key in index");
+          return;
+        }
+        if (!PrefixPatternMatches(query_[last_].pattern, prefix)) {
+          anchor_seek_ = PrefixRangeEnd(anchor_group_);
+          if (anchor_seek_.empty()) NextAnchorDepth();
+          continue;
+        }
+      }
+      anchors_.push_back(n);
+      anchor_it_->Next();
+    }
+  }
+
+  void NextAnchorDepth() {
+    if (++anchor_depth_ > anchor_depths_.hi) {
+      // Complete: pruning starts.
+      std::sort(anchors_.begin(), anchors_.end());
+      anchors_complete_ = true;
+      anchor_it_.reset();
+      return;
+    }
+    std::string start = EncodeDKeyPartial(query_[last_].symbol,
+                                          anchor_depth_, anchor_known_);
+    anchor_end_ = PrefixRangeEnd(start);
+    // D-keys order by prefix length after the symbol, so a cursor already
+    // past the start (always, when the pattern opens with a wildcard)
+    // needs no seek; one at the end of the tree has nothing left to find.
+    if (anchor_it_->Valid() && anchor_it_->key().Compare(start) < 0) {
+      anchor_seek_ = std::move(start);
+    }
+  }
+
+  // No node matches the last element: the search can bind nothing more.
+  bool NoAnchors() const { return anchors_complete_ && anchors_.empty(); }
+
+  // False when `scope` provably holds no match of the last element: the
+  // anchors are complete and none lies in (n, n + size).
+  bool MayHoldLastMatch(const Scope& scope) const {
+    if (!anchors_complete_) return true;
+    const auto above = std::upper_bound(anchors_.begin(), anchors_.end(),
+                                        scope.n);
+    return above != anchors_.end() && *above < scope.n + scope.size;
+  }
+
   // Final step of Algorithm 2: all documents attached at or under the last
   // matched node, i.e. DocId keys with n ∈ [node.n, node.n + size).
   void CollectDocIds(const NodeRecord& node) {
@@ -356,6 +496,21 @@ class Searcher {
   // positions of the alignment being built.
   std::vector<size_t> alignments_;
   std::vector<size_t> positions_;
+  // The last element, and its anchors: a sorted label list once complete.
+  // While they are collected, anchor_it_ walks prefix lengths up to
+  // anchor_depths_.hi, anchor_group_ is the D-key of the group in hand,
+  // and credit_ what the search has earned and not spent.
+  size_t last_ = 0;
+  std::vector<uint64_t> anchors_;
+  bool anchors_complete_ = false;
+  std::unique_ptr<BTree::Iterator> anchor_it_;
+  DepthRange anchor_depths_;
+  size_t anchor_depth_ = 0;
+  std::vector<Symbol> anchor_known_;
+  std::string anchor_seek_;
+  std::string anchor_end_;
+  std::string anchor_group_;
+  uint64_t credit_ = 0;
   Status status_;
 };
 

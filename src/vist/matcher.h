@@ -25,6 +25,22 @@
 // later element refers to them). The answers are the paper's; only the
 // order in which elements are bound changes. A query rooted at a wildcard
 // has c = 0: the paper's top-down order.
+//
+// Anchors. Every element from qc on is bound inside the scope of the one
+// before it, so the last element's match lies in the scope of every
+// binding from qc on. When the last element is a value after qc, the
+// matcher collects its anchors: the labels of all index nodes whose D-key
+// matches that element's own pattern, over the whole label space. Its
+// instantiated pattern specializes its own, so the anchors hold every
+// possible match of it. Once the set is complete, a binding whose scope
+// (n, n + size) holds no anchor is skipped without a seek, a group scan
+// stops once parent_n reaches the largest anchor, and no anchors means no
+// match. The collection runs on credit the search earns: one credit per
+// range scan the search opens, 4 per anchor seek (a root-to-leaf
+// descent), 1 per anchor entry, and the first seek waits for 4 credits.
+// So a search that opens few range scans does little or no anchor work.
+// Anchor seeks count as range scans and anchor entries as entries
+// scanned.
 
 #ifndef VIST_VIST_MATCHER_H_
 #define VIST_VIST_MATCHER_H_

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <memory_resource>
+#include <string>
+#include <string_view>
 
 #include "common/coding.h"
 #include "common/env.h"
@@ -488,15 +492,25 @@ Status VistIndex::BulkLoadSequencesImpl(
   // record. Each document runs the insert walk with child lookups in this
   // map instead of the B+ tree, so its labels are exactly those dynamic
   // insertion would give; the map then reaches the B+ tree in key order.
-  std::map<std::string, NodeRecord> staged;
-  const auto root_it = staged.emplace(root.key, root.record).first;
+  //
+  // The map lives in an arena so that its memory goes back to the system
+  // when the load returns. Allocated node by node from the heap, it is
+  // interleaved with the buffer-pool frames the same load allocates, and
+  // the allocator keeps those pages resident afterwards. The first block
+  // is above glibc's largest dynamic mmap threshold (32 MiB), so every
+  // block is mapped on its own and unmapped when the arena dies.
+  std::pmr::monotonic_buffer_resource arena(size_t{64} << 20);
+  std::pmr::map<std::pmr::string, NodeRecord, std::less<>> staged(&arena);
+  const auto root_it =
+      staged.emplace(std::string_view(root.key), root.record).first;
   const ChildLookup find_staged = [&staged](const std::string& child_range,
                                             PathEntry* child) -> Result<bool> {
-    const auto it = staged.lower_bound(child_range);
-    if (it == staged.end() || !Slice(it->first).StartsWith(child_range)) {
+    const auto it = staged.lower_bound(std::string_view(child_range));
+    if (it == staged.end() ||
+        !std::string_view(it->first).starts_with(child_range)) {
       return false;
     }
-    *child = {it->first, it->second};
+    *child = {std::string(it->first), it->second};
     return true;
   };
   std::vector<std::pair<uint64_t, uint64_t>> doc_labels;  // (n, doc_id)
@@ -505,11 +519,19 @@ Status VistIndex::BulkLoadSequencesImpl(
       return Status::InvalidArgument("cannot index an empty sequence");
     }
     VistMetrics::Get().bulk_load_sequences.Increment();
-    std::vector<PathEntry> path{{root_it->first, root_it->second}};
+    std::vector<PathEntry> path{
+        {std::string(root_it->first), root_it->second}};
     VIST_RETURN_IF_ERROR(WalkInsertPath(sequence, find_staged, &path));
     for (PathEntry& entry : path) {
       ++entry.record.refcount;
-      staged[entry.key] = entry.record;
+      // In place when staged; a key is allocated on first insert only.
+      const std::string_view key = entry.key;
+      const auto it = staged.lower_bound(key);
+      if (it != staged.end() && it->first == key) {
+        it->second = entry.record;
+      } else {
+        staged.emplace_hint(it, key, entry.record);
+      }
     }
     doc_labels.emplace_back(path.back().record.n, doc_id);
   }
@@ -518,7 +540,8 @@ Status VistIndex::BulkLoadSequencesImpl(
   // first), then doc ids.
   VIST_RETURN_IF_ERROR(PersistNewNames());
   for (const auto& [key, record] : staged) {
-    VIST_RETURN_IF_ERROR(WriteRecord(key, record));
+    VIST_RETURN_IF_ERROR(
+        entry_tree_->Put(std::string_view(key), EncodeNodeRecord(record)));
   }
   std::sort(doc_labels.begin(), doc_labels.end());
   for (const auto& [n, doc_id] : doc_labels) {

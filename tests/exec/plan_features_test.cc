@@ -2,8 +2,10 @@
 // EXPERIMENTS.md E1 query set (Q1-Q8) — the exact shapes the router's
 // cost model keys on — plus malformed/empty-path edges and the
 // selectivity estimator against hand-built corpus statistics. Then what
-// exec::Router decides from them: its cold-bucket round-robin and its
-// failover, read from the router.picks.* and router.failovers counters.
+// exec::Router decides from them: its cold-bucket round-robin, its
+// failover, the rank of an engine that cannot compile a bucket's queries,
+// and the refusal of shapes no engine lowers, read from the
+// router.picks.* and router.failovers counters.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -112,13 +114,18 @@ TEST(PlanFeaturesTest, MalformedAndEmptyPathsFail) {
   EXPECT_FALSE(ExtractPlanFeatures("//").ok());
 }
 
-TEST(PlanFeaturesTest, ExtractionOutlivesTreeLowering) {
-  // "/a/*" is rejected later by the engines' query-tree lowering (a
-  // trailing wildcard cannot be a sequence element), but extraction must
-  // still succeed so the router can dispatch and surface that error.
-  PlanFeatures f = MustExtract("/a/*");
+TEST(PlanFeaturesTest, ShapesNoEngineLowersAreRefused) {
+  // Every engine lowers a path to the same query tree, and that lowering
+  // rejects a trailing wildcard (it cannot be a sequence element), so
+  // extraction refuses "/a/*" with the lowering's NotSupported.
+  auto features = ExtractPlanFeatures("/a/*");
+  ASSERT_FALSE(features.ok());
+  EXPECT_TRUE(features.status().IsNotSupported())
+      << features.status().ToString();
+  // A wildcard with a named node beneath it lowers.
+  PlanFeatures f = MustExtract("/a/*/b");
   EXPECT_TRUE(f.has_wildcard);
-  EXPECT_EQ(f.names, std::vector<std::string>{"a"});
+  EXPECT_EQ(f.names, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(PlanFeaturesTest, SelectivityIsTightestName) {
@@ -137,11 +144,12 @@ TEST(PlanFeaturesTest, SelectivityIsTightestName) {
 TEST(PlanFeaturesTest, SelectivityDefaultsToOne) {
   NameStats empty;
   EXPECT_DOUBLE_EQ(EstimateSelectivity(MustExtract("/book"), empty), 1.0);
-  // Pure-wildcard shapes name nothing concrete.
+  // A shape whose only concrete node is a value names nothing concrete.
   NameStats stats;
   stats.frequency = {{"book", 1}};
   stats.total_elements = 10;
-  EXPECT_DOUBLE_EQ(EstimateSelectivity(MustExtract("/*"), stats), 1.0);
+  EXPECT_DOUBLE_EQ(
+      EstimateSelectivity(MustExtract("/*[text()='x']"), stats), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -230,6 +238,91 @@ TEST_F(RouterDecisionTest, FailsOverWhenVistCannotCompile) {
   EXPECT_GT(obs::GetCounter("router.failovers").value(), failovers);
   // A pick counts the engine that answered, not the one that failed.
   EXPECT_EQ(Picks("vist"), vist_picks);
+}
+
+TEST_F(RouterDecisionTest, EngineThatCannotCompileRanksLast) {
+  for (uint64_t id = 1; id <= 50; ++id) {
+    Insert("<r><x>1</x><x>2</x><x>3</x><x>4</x><x>5</x><y>" +
+               std::to_string(id) + "</y></r>",
+           id);
+  }
+  // 120 alternatives: ViST cannot compile it (see above).
+  constexpr char kQuery[] = "/r[x='1'][x='2'][x='3'][x='4'][x='5']";
+  auto expected = nodes_->Query(kQuery);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->size(), 50u);
+
+  const uint64_t failovers = obs::GetCounter("router.failovers").value();
+  const uint64_t vist_picks = Picks("vist");
+  constexpr uint64_t kQueries = 200;
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    auto routed = router_->Query(kQuery);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    ASSERT_EQ(*routed, *expected);
+  }
+  EXPECT_EQ(Picks("vist"), vist_picks);
+  // ViST fails over once when the bucket is cold, then ranks last and
+  // runs only as the warm probe: at most the router's kMinObservations (3)
+  // plus one per kExploreEvery (64) queries. Every query paid a failover
+  // before NotSupported was recorded.
+  const uint64_t bound = 3 + (kQueries + 63) / 64;
+  EXPECT_LE(obs::GetCounter("router.failovers").value() - failovers, bound);
+}
+
+TEST_F(RouterDecisionTest, UncompilableQueryLeavesAnsweringEngineRanked) {
+  for (uint64_t id = 1; id <= 20; ++id) {
+    Insert(id % 2 == 0 ? "<r><x>1</x><x>2</x><x>3</x><x>4</x><x>5</x></r>"
+                       : "<r><x>1</x><x>2</x></r>",
+           id);
+  }
+  // One feature bucket (the same names; branch counts clamp at 2). ViST
+  // compiles the two-branch query (2 alternatives), not the five-branch
+  // one (120).
+  constexpr char kTwo[] = "/r[x='1'][x='2']";
+  constexpr char kFive[] = "/r[x='1'][x='2'][x='3'][x='4'][x='5']";
+  ASSERT_TRUE(vist_->Query(kTwo).ok());
+  ASSERT_TRUE(vist_->Query(kFive).status().IsNotSupported());
+  auto two = nodes_->Query(kTwo);
+  auto five = nodes_->Query(kFive);
+  ASSERT_TRUE(two.ok() && five.ok());
+  ASSERT_EQ(two->size(), 20u);
+  ASSERT_EQ(five->size(), 10u);
+
+  const uint64_t failovers = obs::GetCounter("router.failovers").value();
+  const uint64_t vist_picks = Picks("vist");
+  // Alternating from a fresh bucket, the cold round-robin gives ViST the
+  // first two-branch query, then the fourth query, a five-branch one,
+  // once every engine has answered once. That NotSupported fails over but
+  // leaves ViST's observation in place, so the round-robin goes on giving
+  // ViST two-branch queries until it has 3 observations: queries 5 and 7.
+  for (int i = 0; i < 9; ++i) {
+    const bool compilable = i % 2 == 0;
+    auto routed = router_->Query(compilable ? kTwo : kFive);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_EQ(*routed, compilable ? *two : *five);
+  }
+  EXPECT_EQ(Picks("vist") - vist_picks, 3u);
+  EXPECT_EQ(obs::GetCounter("router.failovers").value() - failovers, 1u);
+}
+
+TEST_F(RouterDecisionTest, ShapeNoEngineLowersIsRefusedInPrepare) {
+  Insert("<a0><b/></a0>", 1);
+  const uint64_t failovers = obs::GetCounter("router.failovers").value();
+  const uint64_t vist = Picks("vist");
+  const uint64_t path = Picks("path");
+  const uint64_t node = Picks("node");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(router_->Prepare("/a0/*").status().IsNotSupported());
+    auto routed = router_->Query("/a0/*");
+    ASSERT_FALSE(routed.ok());
+    EXPECT_TRUE(routed.status().IsNotSupported())
+        << routed.status().ToString();
+  }
+  // No engine ran, so nothing failed over and nothing was picked.
+  EXPECT_EQ(obs::GetCounter("router.failovers").value(), failovers);
+  EXPECT_EQ(Picks("vist"), vist);
+  EXPECT_EQ(Picks("path"), path);
+  EXPECT_EQ(Picks("node"), node);
 }
 
 }  // namespace

@@ -132,6 +132,15 @@ const char* kQueries[] = {
     "/c[.//d='y']",
     "/a[b[c][d]]",
     "/e//*[a]",
+    // A value after a sibling of the chain: the matcher's anchors.
+    "/a[c='x']/b",
+    "/a[d='y']//b",
+    "/a[*='z']/b",
+    "/a//b[e='w']/c/d[text()='x']",
+    "//b[e='x']/a",
+    "//c[e='y']//b",
+    "//*[e='z']/a",
+    "//b[d='w']/c/a",
 };
 
 // Random chain queries per parameter, on top of kQueries.

@@ -119,11 +119,12 @@ TEST_F(MatcherTest, CorruptedIndexSurfacesCorruptionStatus) {
   }
 }
 
-// Builds an index over one document under a fresh directory, runs `path`
-// twice and returns the first profile; the second run must report the same
-// page-access count.
-obs::QueryProfile ProfileOneDocument(const std::string& xml,
-                                     const std::string& path) {
+// Builds an index over `xmls` (doc ids 1, 2, ...) under a fresh directory,
+// runs `path` twice and returns the first profile; the answer must be
+// `expected`, and the second run must report the same page-access count.
+obs::QueryProfile ProfileDocuments(const std::vector<std::string>& xmls,
+                                   const std::string& path,
+                                   const std::vector<uint64_t>& expected) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("vist_matcher_profile_" + std::to_string(getpid()));
   std::filesystem::remove_all(dir);
@@ -131,20 +132,27 @@ obs::QueryProfile ProfileOneDocument(const std::string& xml,
   [&] {
     auto index = VistIndex::Create(dir.string(), VistOptions());
     ASSERT_TRUE(index.ok());
-    auto doc = xml::Parse(xml);
-    ASSERT_TRUE(doc.ok());
-    ASSERT_TRUE((*index)->InsertDocument(*doc->root(), 1).ok());
+    for (size_t i = 0; i < xmls.size(); ++i) {
+      auto doc = xml::Parse(xmls[i]);
+      ASSERT_TRUE(doc.ok());
+      ASSERT_TRUE((*index)->InsertDocument(*doc->root(), i + 1).ok());
+    }
     auto compiled = query::CompilePath(path, *(*index)->symbols());
     ASSERT_TRUE(compiled.ok());
     auto ids = (*index)->QueryCompiled(*compiled, &first);
     ASSERT_TRUE(ids.ok());
-    EXPECT_EQ(*ids, std::vector<uint64_t>{1}) << path;
+    EXPECT_EQ(*ids, expected) << path;
     // Deterministic: a repeat run reports identical numbers.
     ASSERT_TRUE((*index)->QueryCompiled(*compiled, &second).ok());
     EXPECT_EQ(second.index_nodes_accessed, first.index_nodes_accessed);
   }();
   std::filesystem::remove_all(dir);
   return first;
+}
+
+obs::QueryProfile ProfileOneDocument(const std::string& xml,
+                                     const std::string& path) {
+  return ProfileDocuments({xml}, path, {1});
 }
 
 // Minimal deterministic workloads: one document, one query, both trees a
@@ -178,6 +186,60 @@ TEST(MatcherProfileTest, DirectSeekAfterTheChain) {
   EXPECT_EQ(profile.index_nodes_accessed, 3u);
   EXPECT_EQ(profile.range_scans, 2u);
   EXPECT_EQ(profile.nodes_matched, 2u);
+  EXPECT_EQ(profile.docid_range_scans, 1u);
+}
+
+// Q5's shape over books with two authors and a key each. The query
+// compiles to book, author, key, key's value, and its leading chain ends
+// at author, which binds the shared first-author node (its scope holds
+// every book's key) and each book's second author. Book 38 matches twice,
+// once under each of its authors, so 2 DocId range scans.
+//
+// Without anchors every author binding opens a key scan, and every key
+// bound a value scan: 1 + 1 + kBooks + 2 * kBooks = 122 range scans and
+// (kBooks + 1) + 2 * kBooks + 2 = 123 matched nodes.
+//
+// With anchors: the author scan, the key scan under the first author and
+// the value scans under keys 0 and 1 earn the 4 credits of the anchor
+// seek (range scan 5). The value scans under keys 2 and 3 pay for the
+// anchor entry and the end of its group. From then on only bindings whose
+// scope holds book 38's key value descend, and each scan stops at it:
+// key 37's value scan, then the second author's key and value scans. That
+// is 10 range scans and 10 matched nodes (2 authors, 6 keys, the value
+// twice).
+constexpr int kBooks = 40;
+
+std::vector<std::string> Books() {
+  std::vector<std::string> books;
+  for (int i = 0; i < kBooks; ++i) {
+    const std::string id = std::to_string(i);
+    books.push_back("<book><author>a" + id + "</author><author>b" + id +
+                    "</author><key>k" + id + "</key><year>1999</year></book>");
+  }
+  return books;
+}
+
+TEST(MatcherProfileTest, AnchorsPruneBindingsThatCannotReachTheLastValue) {
+  const obs::QueryProfile profile =
+      ProfileDocuments(Books(), "/book[key='k37']/author", {38});
+  EXPECT_EQ(profile.range_scans, 10u);
+  EXPECT_EQ(profile.nodes_matched, 10u);
+  EXPECT_EQ(profile.index_nodes_accessed, 23u);
+  EXPECT_EQ(profile.docid_range_scans, 2u);
+}
+
+TEST(MatcherProfileTest, SelectiveChainEndCollectsNoAnchors) {
+  // The chain book -> key -> 'k37' ends at a value bound once; year and its
+  // common value then seek inside its scope. 3 range scans earn 3 credits,
+  // fewer than an anchor seek costs, so the counts are those of a search
+  // without anchors: 3 range scans and 3 matched nodes (k37, year, 1999),
+  // 2 page accesses per seek in the two-level entry tree plus 1 for the
+  // DocId seek.
+  const obs::QueryProfile profile = ProfileDocuments(
+      Books(), "/book[key='k37']/year[text()='1999']", {38});
+  EXPECT_EQ(profile.range_scans, 3u);
+  EXPECT_EQ(profile.nodes_matched, 3u);
+  EXPECT_EQ(profile.index_nodes_accessed, 7u);
   EXPECT_EQ(profile.docid_range_scans, 1u);
 }
 
