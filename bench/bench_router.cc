@@ -29,7 +29,6 @@ namespace bench {
 namespace {
 
 constexpr int kWarmupRuns = 20;  // per query: lets the feedback EWMA converge
-constexpr int kTimedRuns = 3;    // matches bench_table4's Iterations(3)
 
 // One corpus with all three engines loaded and the router on top. Inserts
 // go through the router so its name statistics (selectivity input) see

@@ -1,9 +1,11 @@
 // Parallel query serving: queries/sec at 1/2/4/8 threads for ViST and
 // both baselines over the DBLP-like corpus (Table 3 queries Q1-Q5).
 //
-// Each cell runs T threads against one shared index for a fixed wall-time
-// window, every thread looping over the query mix from a different offset;
-// qps is total completed queries over the window. The standard per-query
+// Each cell runs T threads against one shared index, every thread running
+// a fixed kQueriesPerThread queries of the mix from a different offset;
+// qps is the cell's queries over its wall time, from the first thread's
+// start to the last thread's end. A fixed count gives every cell enough
+// queries to time, and every thread the same work. The standard per-query
 // cost columns (EXPERIMENTS.md) come from a profiled single-threaded pass
 // over the same queries. Results print as a table and are written to
 // BENCH_throughput.json in the working directory.
@@ -13,7 +15,6 @@
 // host every cell lands near 1.0x by construction, since the read path
 // shares one CPU no matter how many threads contend for it.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -39,7 +40,8 @@ const std::vector<QuerySpec> kQueries = [] {
   return dblp;
 }();
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
-constexpr int kWindowMs = 400;
+// A multiple of the mix size, so each thread runs every query equally often.
+constexpr int kQueriesPerThread = 250;
 
 Engines BuildEngines(int records) {
   Engines engines = CreateEngines("throughput");
@@ -61,6 +63,7 @@ struct QueryCosts {
 struct Cell {
   int threads = 0;
   uint64_t total_queries = 0;
+  double elapsed_ms = 0;
   double qps = 0;
 };
 
@@ -84,31 +87,28 @@ std::vector<QueryCosts> MeasureCosts(const QueryFn& run) {
   return costs;
 }
 
-/// One throughput cell: T threads loop the query mix for kWindowMs.
+/// One throughput cell: T threads run kQueriesPerThread queries each.
 Cell MeasureCell(const QueryFn& run, int threads) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> completed{0};
   std::vector<std::thread> workers;
   const auto start = std::chrono::steady_clock::now();
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      uint64_t mine = 0;
-      for (size_t i = t; !stop.load(std::memory_order_acquire); ++i, ++mine) {
-        auto ids = run(kQueries[i % kQueries.size()].path, nullptr);
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        auto ids = run(kQueries[(t + i) % kQueries.size()].path, nullptr);
         CheckOk(ids.status(), "threaded query");
       }
-      completed.fetch_add(mine, std::memory_order_relaxed);
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(kWindowMs));
-  stop.store(true, std::memory_order_release);
   for (auto& worker : workers) worker.join();
-  const double elapsed_ms = MillisSince(start);
 
   Cell cell;
   cell.threads = threads;
-  cell.total_queries = completed.load();
-  cell.qps = elapsed_ms > 0 ? 1000.0 * cell.total_queries / elapsed_ms : 0;
+  cell.total_queries = static_cast<uint64_t>(threads) * kQueriesPerThread;
+  cell.elapsed_ms = MillisSince(start);
+  cell.qps = cell.elapsed_ms > 0
+                 ? 1000.0 * static_cast<double>(cell.total_queries) /
+                       cell.elapsed_ms
+                 : 0;
   return cell;
 }
 
@@ -134,7 +134,7 @@ void WriteJson(const std::vector<EngineReport>& reports, int records) {
   fprintf(out, "  \"records\": %d,\n", records);
   fprintf(out, "  \"hardware_threads\": %u,\n",
           std::thread::hardware_concurrency());
-  fprintf(out, "  \"window_ms\": %d,\n", kWindowMs);
+  fprintf(out, "  \"queries_per_thread\": %d,\n", kQueriesPerThread);
   fprintf(out, "  \"engines\": [\n");
   for (size_t e = 0; e < reports.size(); ++e) {
     const EngineReport& report = reports[e];
@@ -164,9 +164,11 @@ void WriteJson(const std::vector<EngineReport>& reports, int records) {
       const Cell& cell = report.cells[c];
       fprintf(out,
               "        {\"threads\": %d, \"total_queries\": %llu, "
-              "\"qps\": %.1f, \"speedup_vs_1\": %.2f}%s\n",
+              "\"elapsed_ms\": %.1f, \"qps\": %.1f, "
+              "\"speedup_vs_1\": %.2f}%s\n",
               cell.threads,
-              static_cast<unsigned long long>(cell.total_queries), cell.qps,
+              static_cast<unsigned long long>(cell.total_queries),
+              cell.elapsed_ms, cell.qps,
               base_qps > 0 ? cell.qps / base_qps : 0,
               c + 1 < report.cells.size() ? "," : "");
     }
@@ -177,9 +179,9 @@ void WriteJson(const std::vector<EngineReport>& reports, int records) {
 }
 
 void PrintSummary(const std::vector<EngineReport>& reports) {
-  printf("\n=== Parallel query throughput (queries/sec, %d ms windows, "
-         "%u hardware threads) ===\n",
-         kWindowMs, std::thread::hardware_concurrency());
+  printf("\n=== Parallel query throughput (queries/sec, %d queries per "
+         "thread, %u hardware threads) ===\n",
+         kQueriesPerThread, std::thread::hardware_concurrency());
   printf("%-10s", "engine");
   for (int threads : kThreadCounts) printf(" %8dT", threads);
   printf("  speedup 1->4\n");

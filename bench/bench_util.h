@@ -74,6 +74,11 @@ inline double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Timed repetitions of each (query, engine) row in E1 and E7, after the
+/// row is warm: enough that one slow run moves a row's mean by a few
+/// percent.
+inline constexpr int kTimedRuns = 20;
+
 /// One of Table 3's evaluation queries.
 struct QuerySpec {
   const char* label;

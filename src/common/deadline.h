@@ -108,6 +108,15 @@ class DeadlineChecker {
 
   explicit DeadlineChecker(const Deadline& deadline) : deadline_(deadline) {}
 
+  /// Test hook: a checker whose deadline has already passed but which
+  /// first reads the clock at its k-th Expired() call (k >= 1), so expiry
+  /// lands at a checkpoint the test chooses.
+  static DeadlineChecker ExpiringAtCheckForTesting(uint32_t k) {
+    DeadlineChecker checker(Deadline::At(Deadline::Clock::now()));
+    checker.ticks_ = k > 0 ? k - 1 : 0;
+    return checker;
+  }
+
   bool Expired() {
     if (expired_) return true;
     if (!deadline_.has_deadline()) return false;

@@ -52,8 +52,8 @@ inline constexpr uint32_t kLockRankFlagUnordered = 1;
     "seq::SymbolTable::mu_ — the append-only name table's internal "        \
     "reader/writer lock; taken under an engine writer lock by Intern")       \
   X(kBufferPoolShard, 30, kLockRankFlagNone,                                 \
-    "BufferPool::Shard::mu — one shard of the page table, its LRU list, "    \
-    "and pin-count transitions")                                             \
+    "BufferPool::Shard::mu — one shard of the page table, its clock ring, "  \
+    "and every new pin (unpins take no lock)")                               \
   X(kPagerMutation,   40, kLockRankFlagNone,                                 \
     "Pager::mu_ — page-file mutations and the rollback journal")             \
   X(kFrameLoadLatch,  50, kLockRankFlagNone,                                 \

@@ -67,15 +67,20 @@ bool DecodeEntryKey(Slice input, Slice* dkey, uint64_t* parent_n,
   return true;
 }
 
+Slice EncodeDocIdKey(uint64_t n, uint64_t doc_id,
+                     char (&buf)[kDocIdKeySize]) {
+  EncodeFixed64BE(buf, n);
+  EncodeFixed64BE(buf + 8, doc_id);
+  return Slice(buf, kDocIdKeySize);
+}
+
 std::string EncodeDocIdKey(uint64_t n, uint64_t doc_id) {
-  std::string key;
-  PutFixed64BE(&key, n);
-  PutFixed64BE(&key, doc_id);
-  return key;
+  char buf[kDocIdKeySize];
+  return EncodeDocIdKey(n, doc_id, buf).ToString();
 }
 
 bool DecodeDocIdKey(Slice input, uint64_t* n, uint64_t* doc_id) {
-  if (input.size() != 16) return false;
+  if (input.size() != kDocIdKeySize) return false;
   *n = DecodeFixed64BE(input.data());
   *doc_id = DecodeFixed64BE(input.data() + 8);
   return true;

@@ -65,7 +65,11 @@ bool DecodeEntryKey(Slice input, Slice* dkey, uint64_t* parent_n,
                     uint64_t* n);
 
 /// DocId-tree keys.
+inline constexpr size_t kDocIdKeySize = 16;
 std::string EncodeDocIdKey(uint64_t n, uint64_t doc_id);
+/// The same key written to `buf`, for a caller that seeks once per binding
+/// and allocates nothing; the returned slice points into `buf`.
+Slice EncodeDocIdKey(uint64_t n, uint64_t doc_id, char (&buf)[kDocIdKeySize]);
 bool DecodeDocIdKey(Slice input, uint64_t* n, uint64_t* doc_id);
 
 /// The smallest byte string strictly greater than every string that starts

@@ -494,17 +494,36 @@ void BTree::Iterator::Seek(const Slice& target) {
   BTreeMetrics::Get().seeks.Increment();
   status_ = Status::OK();
   valid_ = false;
-  spine_.clear();
-  PageId current = root_;
+  const uint32_t page_size = tree_->pager_->usable_page_size();
+  // Finger: keep the pinned spine down to the deepest level whose node
+  // still covers `target`. The root covers every key; the child a level
+  // holds covers [Key(index), Key(index + 1)), where a missing bound is
+  // its parent's, already checked on the way down.
+  size_t keep = spine_.empty() ? 0 : 1;
+  while (keep < spine_.size()) {
+    Level& parent = spine_[keep - 1];
+    NodePage np(parent.ref.data(), page_size);
+    if (parent.index >= 0 && target.Compare(np.Key(parent.index)) < 0) break;
+    if (parent.index + 1 < np.num_cells() &&
+        target.Compare(np.Key(parent.index + 1)) >= 0) {
+      break;
+    }
+    ++keep;
+  }
+  spine_.erase(spine_.begin() + keep, spine_.end());
+  if (spine_.empty()) {
+    PageRef root;
+    if (!LoadPage(root_, &root)) return;
+    spine_.push_back({std::move(root), 0});
+  }
+  // Re-route below the kept levels: only these pages are loaded (and
+  // counted as node accesses).
   while (true) {
-    PageRef ref;
-    if (!LoadPage(current, &ref)) return;
-    NodePage np(ref.data(), tree_->pager_->usable_page_size());
+    Level& lvl = spine_.back();
+    NodePage np(lvl.ref.data(), page_size);
     if (np.is_leaf()) {
-      const int index = np.LowerBound(target);
-      const int n = np.num_cells();
-      spine_.push_back({std::move(ref), index});
-      if (index < n) {
+      lvl.index = np.LowerBound(target);
+      if (lvl.index < np.num_cells()) {
         valid_ = true;
         return;
       }
@@ -512,27 +531,16 @@ void BTree::Iterator::Seek(const Slice& target) {
       NextLeaf();
       return;
     }
-    int child_index = 0;
-    PageId child = RouteToChild(np, target, &child_index);
+    const PageId child = RouteToChild(np, target, &lvl.index);
     VIST_CHECK(child != kInvalidPageId) << "internal node with no child";
-    spine_.push_back({std::move(ref), child_index});
-    current = child;
+    PageRef ref;
+    if (!LoadPage(child, &ref)) return;
+    spine_.push_back({std::move(ref), 0});
   }
 }
 
-void BTree::Iterator::SeekToFirst() {
-  BTreeMetrics::Get().seeks.Increment();
-  status_ = Status::OK();
-  valid_ = false;
-  spine_.clear();
-  if (!DescendFirst(root_)) return;
-  NodePage leaf(spine_.back().ref.data(), tree_->pager_->usable_page_size());
-  if (leaf.num_cells() > 0) {
-    valid_ = true;
-  } else {
-    NextLeaf();  // empty root leaf (empty tree) or defensive skip
-  }
-}
+// The empty key sorts before every key.
+void BTree::Iterator::SeekToFirst() { Seek(Slice()); }
 
 void BTree::Iterator::Next() {
   VIST_CHECK(valid_);

@@ -84,11 +84,15 @@ class BTree {
   /// shadowed too, cascading across the whole leaf level).
   /// Usage: it->Seek(k); while (it->Valid()) { ... it->Next(); }
   /// After the loop, check status() to distinguish end-of-data from error.
+  /// A cursor may be re-seeked any number of times, in any direction.
   class Iterator {
    public:
     ~Iterator() = default;
 
-    /// Positions at the first entry with key >= `target`.
+    /// Positions at the first entry with key >= `target`. A finger seek:
+    /// it keeps the pinned spine down to the deepest level whose node
+    /// still covers `target` and loads only the levels below it, so a
+    /// target inside the pinned leaf loads no page at all.
     void Seek(const Slice& target);
     void SeekToFirst();
 

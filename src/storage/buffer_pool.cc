@@ -29,7 +29,7 @@ struct PoolMetrics {
 // per-shard "all pinned" bound never gets tight enough to fail workloads
 // that a single-shard pool of the same capacity would serve. Small pools
 // (every unit test uses 8-16 frames) collapse to one shard, which preserves
-// the exact global LRU and exhaustion semantics they assert.
+// the exact global clock and exhaustion semantics they assert.
 size_t PickShardCount(size_t capacity) {
   size_t shards = 1;
   while (shards < 16 && capacity / (shards * 2) >= 64) shards *= 2;
@@ -43,9 +43,7 @@ using internal_buffer::Frame;
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
   if (this != &other) {
     Release();
-    pool_ = other.pool_;
     frame_ = other.frame_;
-    other.pool_ = nullptr;
     other.frame_ = nullptr;
   }
   return *this;
@@ -55,9 +53,12 @@ PageRef::~PageRef() { Release(); }
 
 void PageRef::Release() {
   if (frame_ != nullptr) {
-    pool_->Unpin(frame_);
+    // No shard mutex: an evictor that reads 0 under the mutex cannot race
+    // a new pin (file comment). Release publishes this holder's writes to
+    // that evictor; the frame may be gone as soon as the count reaches 0.
+    const int prev = frame_->pin_count.fetch_sub(1, std::memory_order_release);
+    VIST_CHECK(prev > 0);
     frame_ = nullptr;
-    pool_ = nullptr;
   }
 }
 
@@ -82,7 +83,7 @@ BufferPool::~BufferPool() {
     MutexLock lock(shard->mu);
     resident += shard->frames.size();
     for (auto& [id, frame] : shard->frames) {
-      if (frame->pin_count.load(std::memory_order_relaxed) != 0) {
+      if (frame->pin_count.load(std::memory_order_acquire) != 0) {
         VIST_LOG(Error) << "page " << id
                         << " still pinned at pool destruction";
       }
@@ -97,29 +98,32 @@ BufferPool::Shard& BufferPool::ShardFor(PageId id) {
   return *shards_[(h >> 56) & (shards_.size() - 1)];
 }
 
-void BufferPool::Unpin(Frame* frame) {
-  Shard& shard = ShardFor(frame->id);
-  MutexLock lock(shard.mu);
-  int prev = frame->pin_count.fetch_sub(1, std::memory_order_relaxed);
-  VIST_CHECK(prev > 0);
-  if (prev == 1) {
-    shard.lru.push_back(frame);
-    frame->lru_pos = std::prev(shard.lru.end());
-    frame->in_lru = true;
+size_t BufferPool::pinned_frames() const {
+  size_t pinned = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    for (const auto& [id, frame] : shard->frames) {
+      if (frame->pin_count.load(std::memory_order_acquire) != 0) ++pinned;
+    }
   }
+  return pinned;
+}
+
+void BufferPool::RemoveFrame(Shard& shard, Frame* frame) {
+  shard.ring[frame->slot] = nullptr;
+  shard.free_slots.push_back(frame->slot);
+  shard.frames.erase(frame->id);
+  PoolMetrics::Get().resident_frames.Add(-1);
 }
 
 void BufferPool::DropFailedPin(Frame* frame) {
   Shard& shard = ShardFor(frame->id);
   MutexLock lock(shard.mu);
-  int prev = frame->pin_count.fetch_sub(1, std::memory_order_relaxed);
+  int prev = frame->pin_count.fetch_sub(1, std::memory_order_acq_rel);
   VIST_CHECK(prev > 0);
-  if (prev == 1) {
-    // Failed frames never enter the LRU; the last pin removes them so a
-    // later Fetch retries the read instead of serving garbage.
-    shard.frames.erase(frame->id);
-    PoolMetrics::Get().resident_frames.Add(-1);
-  }
+  // The last pin removes a failed frame so a later Fetch retries the read
+  // instead of serving garbage.
+  if (prev == 1) RemoveFrame(shard, frame);
 }
 
 Status BufferPool::ResolveLoad(Frame* frame) {
@@ -138,29 +142,35 @@ Status BufferPool::ResolveLoad(Frame* frame) {
 }
 
 Status BufferPool::EvictOne(Shard& shard) {
-  if (shard.lru.empty()) {
-    return Status::InvalidArgument(
-        "buffer pool exhausted: all frames pinned (pin leak?)");
-  }
-  Frame* victim = shard.lru.front();
-  // Unpinned means no PageRef exists, so nobody can race MarkDirty or a
-  // data mutation with this writeback.
-  if (victim->dirty.load(std::memory_order_relaxed)) {
-    PoolMetrics::Get().dirty_writebacks.Increment();
-    Status s = pager_->WritePage(victim->id, victim->data.get());
-    if (!s.ok()) {
-      // Leave the victim where it was (still unpinned, still in the LRU):
-      // removing it now would strand a stale frame in the page table.
-      return s;
+  const size_t slots = shard.ring.size();
+  for (size_t step = 0; step < 2 * slots; ++step) {
+    Frame* victim = shard.ring[shard.hand];
+    shard.hand = (shard.hand + 1) % slots;
+    // Unpinned under the shard mutex means no PageRef exists and none can
+    // appear, so nobody can race MarkDirty or a data mutation with this
+    // writeback.
+    if (victim == nullptr ||
+        victim->pin_count.load(std::memory_order_acquire) != 0) {
+      continue;
     }
-    victim->dirty.store(false, std::memory_order_relaxed);
+    if (victim->referenced) {
+      victim->referenced = false;  // its second chance
+      continue;
+    }
+    if (victim->dirty.load(std::memory_order_relaxed)) {
+      PoolMetrics::Get().dirty_writebacks.Increment();
+      // On failure the victim stays where it was (still unpinned, still in
+      // the ring): removing it now would strand a stale frame in the page
+      // table.
+      VIST_RETURN_IF_ERROR(pager_->WritePage(victim->id, victim->data.get()));
+      victim->dirty.store(false, std::memory_order_relaxed);
+    }
+    RemoveFrame(shard, victim);
+    PoolMetrics::Get().evictions.Increment();
+    return Status::OK();
   }
-  shard.lru.pop_front();
-  victim->in_lru = false;
-  shard.frames.erase(victim->id);
-  PoolMetrics::Get().evictions.Increment();
-  PoolMetrics::Get().resident_frames.Add(-1);
-  return Status::OK();
+  return Status::InvalidArgument(
+      "buffer pool exhausted: all frames pinned (pin leak?)");
 }
 
 Result<Frame*> BufferPool::InstallFrame(Shard& shard, PageId id,
@@ -172,6 +182,14 @@ Result<Frame*> BufferPool::InstallFrame(Shard& shard, PageId id,
   frame->id = id;
   frame->data = std::make_unique<char[]>(pager_->page_size());
   frame->pin_count.store(1, std::memory_order_relaxed);
+  if (shard.free_slots.empty()) {
+    frame->slot = shard.ring.size();
+    shard.ring.push_back(frame.get());
+  } else {
+    frame->slot = shard.free_slots.back();
+    shard.free_slots.pop_back();
+    shard.ring[frame->slot] = frame.get();
+  }
   if (loading) {
     frame->load_state.store(Frame::kLoading, std::memory_order_relaxed);
   } else {
@@ -193,10 +211,7 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
     if (it != shard.frames.end()) {
       frame = it->second.get();
       frame->pin_count.fetch_add(1, std::memory_order_relaxed);
-      if (frame->in_lru) {
-        shard.lru.erase(frame->lru_pos);
-        frame->in_lru = false;
-      }
+      frame->referenced = true;
     } else {
       // Publish the frame (pinned, kLoading) before the disk read so a
       // concurrent Fetch of the same page waits on it instead of doing a
@@ -216,7 +231,7 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
       DropFailedPin(frame);
       return s;
     }
-    return PageRef(this, frame);
+    return PageRef(frame);
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -239,7 +254,7 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
     DropFailedPin(frame);
     return s;
   }
-  return PageRef(this, frame);
+  return PageRef(frame);
 }
 
 Result<PageRef> BufferPool::New() {
@@ -257,7 +272,7 @@ Result<PageRef> BufferPool::New() {
   ++obs::ThisThreadStorageCounters().buffer_pool_misses;
   PoolMetrics::Get().misses.Increment();
   frame->dirty.store(true, std::memory_order_relaxed);
-  return PageRef(this, frame);
+  return PageRef(frame);
 }
 
 Status BufferPool::Free(PageId id) {
@@ -267,12 +282,10 @@ Status BufferPool::Free(PageId id) {
     auto it = shard.frames.find(id);
     if (it != shard.frames.end()) {
       Frame* frame = it->second.get();
-      if (frame->pin_count.load(std::memory_order_relaxed) != 0) {
+      if (frame->pin_count.load(std::memory_order_acquire) != 0) {
         return Status::InvalidArgument("Free of a pinned page");
       }
-      if (frame->in_lru) shard.lru.erase(frame->lru_pos);
-      shard.frames.erase(it);
-      PoolMetrics::Get().resident_frames.Add(-1);
+      RemoveFrame(shard, frame);
     }
   }
   return pager_->FreePage(id);
@@ -283,7 +296,9 @@ void BufferPool::SimulateCrashForTesting() {
     MutexLock lock(shard->mu);
     PoolMetrics::Get().resident_frames.Add(
         -static_cast<int64_t>(shard->frames.size()));
-    shard->lru.clear();
+    shard->ring.clear();
+    shard->free_slots.clear();
+    shard->hand = 0;
     shard->frames.clear();
   }
 }

@@ -1,11 +1,18 @@
-// BufferPool: an LRU cache of page frames with pin counts and dirty
-// tracking, between the B+ tree and the Pager.
+// BufferPool: a clock (second-chance) cache of page frames with pin counts
+// and dirty tracking, between the B+ tree and the Pager.
 //
 // Access pattern: callers Fetch() a page and receive a PageRef — an RAII pin
 // that keeps the frame resident and writable. Dirty frames are written back
 // when evicted or on FlushAll(). The pool is sized in pages; eviction only
 // considers unpinned frames and reports an error if every frame in the
 // page's shard is pinned, which would mean a pin leak.
+//
+// Replacement: each shard keeps its resident frames in a clock ring. A hit
+// sets the frame's second-chance bit; the evicting hand clears set bits as
+// it passes and takes the first unpinned frame whose bit is clear, so a
+// frame hit since the hand last passed survives one sweep. A hit therefore
+// touches no list: Fetch pins under the shard mutex, and PageRef::Release
+// is one atomic decrement with no lock at all.
 //
 // Threading contract (docs/CONCURRENCY.md): the pool is safe for any number
 // of concurrent Fetch/Release callers. Frame *contents* follow the storage
@@ -17,10 +24,10 @@
 // Internal latching, in acquisition order (a thread may only take latches
 // left to right — taking them in any other order risks deadlock):
 //
-//   1. shard mutex   — guards one shard of the page table, its LRU list,
-//                      and pin-count transitions. The table is sharded by
-//                      page id so concurrent readers on disjoint pages do
-//                      not contend; small pools collapse to a single shard.
+//   1. shard mutex   — guards one shard of the page table, its clock ring,
+//                      and every new pin. The table is sharded by page id so
+//                      concurrent readers on disjoint pages do not contend;
+//                      small pools collapse to a single shard.
 //   2. pager mutex   — taken inside Pager::WritePage when eviction writes a
 //                      dirty victim back while the shard mutex is held.
 //   3. frame load latch (Frame::load_mu) — a leaf latch: it is never held
@@ -34,6 +41,13 @@
 //                      two threads miss on the same page and both read it
 //                      from disk into distinct frames.
 //
+// Why an unlocked unpin cannot race an evictor: every pin is taken under
+// the shard mutex, and the evictor reads pin counts under that mutex too.
+// So a count the evictor reads as 0 stays 0 until it lets go: unpins only
+// lower counts, and no new pin can start. The unpin's release decrement
+// and the evictor's acquire read also order the last holder's writes (page
+// data, the dirty flag) before the writeback.
+//
 // Pin counts, the dirty and needs-validation flags, and the hit/miss
 // counters are atomics: they are touched on the hot fetch path and by
 // threads that only hold the frame pinned, not the shard mutex.
@@ -44,7 +58,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -65,9 +78,8 @@ struct Frame {
   PageId id = kInvalidPageId;
   std::unique_ptr<char[]> data;
 
-  /// Pins held on this frame. Transitions that affect LRU membership
-  /// (0 -> 1 and 1 -> 0) happen under the shard mutex; the atomic lets the
-  /// destructor and assertions read it latch-free.
+  /// Pins held on this frame. Raised only under the shard mutex; lowered
+  /// without it (PageRef::Release). See the file comment.
   std::atomic<int> pin_count{0};
   std::atomic<bool> dirty{false};
   // Set when the frame was filled from disk and no consumer has validated
@@ -85,10 +97,10 @@ struct Frame {
   std::condition_variable_any load_cv;
   Status load_status VIST_GUARDED_BY(load_mu);
 
-  // Position in the shard's LRU list while unpinned (valid iff in_lru);
-  // guarded by the shard mutex.
-  std::list<Frame*>::iterator lru_pos;
-  bool in_lru = false;
+  // The frame's slot in the shard's clock ring, and its second-chance bit
+  // (set by a hit, cleared by the passing hand); guarded by the shard mutex.
+  size_t slot = 0;
+  bool referenced = false;
 };
 
 }  // namespace internal_buffer
@@ -127,15 +139,14 @@ class PageRef {
     frame_->needs_validation.store(false, std::memory_order_relaxed);
   }
 
-  /// Drops the pin early (also done by the destructor).
+  /// Drops the pin early (also done by the destructor). Lock-free: one
+  /// atomic decrement (see the file comment).
   void Release();
 
  private:
   friend class BufferPool;
-  PageRef(BufferPool* pool, internal_buffer::Frame* frame)
-      : pool_(pool), frame_(frame) {}
+  explicit PageRef(internal_buffer::Frame* frame) : frame_(frame) {}
 
-  BufferPool* pool_ = nullptr;
   internal_buffer::Frame* frame_ = nullptr;
 };
 
@@ -178,27 +189,32 @@ class BufferPool {
   uint64_t miss_count() const {
     return misses_.load(std::memory_order_relaxed);
   }
+  /// Frames holding at least one pin (pin-leak checks in tests).
+  size_t pinned_frames() const;
 
  private:
-  friend class PageRef;
-
   using Frame = internal_buffer::Frame;
 
   struct Shard {
     Mutex mu{LockRank::kBufferPoolShard};
     std::unordered_map<PageId, std::unique_ptr<Frame>> frames
         VIST_GUARDED_BY(mu);
-    // Least-recently-used at the front; only unpinned frames are listed.
-    std::list<Frame*> lru VIST_GUARDED_BY(mu);
+    // The clock ring: one slot per resident frame, pinned or not; slots of
+    // dropped frames are null and listed in free_slots for reuse. The hand
+    // is the next slot the eviction sweep inspects.
+    std::vector<Frame*> ring VIST_GUARDED_BY(mu);
+    std::vector<size_t> free_slots VIST_GUARDED_BY(mu);
+    size_t hand VIST_GUARDED_BY(mu) = 0;
     size_t capacity = 0;  // fixed after construction
   };
 
   Shard& ShardFor(PageId id);
 
-  void Unpin(Frame* frame);
   /// Drops a pin on a frame whose disk load failed; the last such pin
-  /// removes the frame from the table (it never enters the LRU).
+  /// removes the frame from the table, so a later Fetch retries the read.
   void DropFailedPin(Frame* frame);
+  /// Removes an unpinned frame from the table and its ring slot.
+  void RemoveFrame(Shard& shard, Frame* frame) VIST_REQUIRES(shard.mu);
   /// Waits out a concurrent load of `frame`, then reports how it resolved.
   Status ResolveLoad(Frame* frame);
   /// Creates, pins, and publishes a frame for `id` in `shard` (mutex held),
@@ -206,8 +222,10 @@ class BufferPool {
   /// kLoading and the caller must complete the load handshake.
   Result<Frame*> InstallFrame(Shard& shard, PageId id, bool loading)
       VIST_REQUIRES(shard.mu);
-  /// Evicts the least-recently-used unpinned frame of `shard` (mutex held),
-  /// writing it back first when dirty. Acquires the pager mutex (inside
+  /// Sweeps the clock hand for a victim in `shard` (mutex held): an
+  /// unpinned frame whose second-chance bit is clear, clearing set bits on
+  /// the way. Two turns of the hand find one if any frame is unpinned.
+  /// Writes the victim back first when dirty. Acquires the pager mutex (inside
   /// Pager::WritePage) below the shard mutex — the one annotated site that
   /// exercises the shard -> pager edge of the lock order.
   Status EvictOne(Shard& shard) VIST_REQUIRES(shard.mu);

@@ -36,8 +36,8 @@ struct BoundMatch {
   NodeRecord record;
 };
 
-// Credits an anchor seek costs: one root-to-leaf descent, where an anchor
-// entry costs one. The search earns one credit per range scan it opens.
+// Credits an anchor seek costs: at most one root-to-leaf descent, where an
+// anchor entry costs one. The search earns one credit per range scan it opens.
 constexpr uint64_t kAnchorSeekCredits = 4;
 
 // The prefix lengths a D-key matching `pattern` can have: each symbol but
@@ -72,7 +72,8 @@ class Searcher {
         query_(query),
         profile_(profile),
         results_(results),
-        bound_(query.size()) {}
+        bound_(query.size()),
+        cursors_(query.size()) {}
 
   Status Run() {
     // q0..qc: the leading chain, each element the query-tree parent of the
@@ -120,6 +121,14 @@ class Searcher {
     return it;
   }
 
+  // Element qi's entry cursor, kept for the whole search. The search
+  // recurses from qi only into later elements, so at most one Search frame
+  // uses it at a time.
+  BTree::Iterator* EntryCursor(size_t qi) {
+    if (cursors_[qi] == nullptr) cursors_[qi] = NewEntryIterator();
+    return cursors_[qi].get();
+  }
+
   // Matches query elements qi.. inside `enclosing`, the scope of the node
   // matched for element qi-1 (S-Ancestorship: labels in (n, n+size)).
   void Search(size_t qi, const Scope& enclosing) {
@@ -162,9 +171,8 @@ class Searcher {
       // A concrete chain end has one alignment: each name at its own
       // pattern position.
       if (qi == chain_end_ && bind_chain_) AlignChain();
-      ScanGroup(NewEntryIterator().get(),
-                EncodeDKey(slot.symbol, slot.prefix), qi, enclosing,
-                /*decode_dkey=*/false);
+      ScanGroup(EntryCursor(qi), EncodeDKey(slot.symbol, slot.prefix), qi,
+                enclosing, /*decode_dkey=*/false);
       return;
     }
 
@@ -192,7 +200,7 @@ class Searcher {
     const std::string partial_end = PrefixRangeEnd(partial);
     const bool at_chain_end = qi == chain_end_ && chain_end_ > 0;
 
-    auto it = NewEntryIterator();
+    BTree::Iterator* it = EntryCursor(qi);
     it->Seek(partial);
     while (status_.ok() && !NoAnchors() && it->Valid() &&
            (partial_end.empty() || it->key().Compare(partial_end) < 0)) {
@@ -204,7 +212,7 @@ class Searcher {
       }
       const std::string dkey = dkey_slice.ToString();
       if (!at_chain_end) {
-        ScanGroup(it.get(), dkey, qi, enclosing, /*decode_dkey=*/true);
+        ScanGroup(it, dkey, qi, enclosing, /*decode_dkey=*/true);
       } else {
         // The chain end's pattern can hold names after a wildcard, which
         // the key range does not filter. Its scope is the whole label
@@ -215,7 +223,7 @@ class Searcher {
           return;
         }
         if (AlignChain()) {
-          ScanGroup(it.get(), dkey, qi, enclosing, /*decode_dkey=*/false);
+          ScanGroup(it, dkey, qi, enclosing, /*decode_dkey=*/false);
         }
       }
       if (!status_.ok()) return;
@@ -462,15 +470,28 @@ class Searcher {
   }
 
   // Final step of Algorithm 2: all documents attached at or under the last
-  // matched node, i.e. DocId keys with n ∈ [node.n, node.n + size).
+  // matched node, i.e. DocId keys with n ∈ [node.n, node.n + size). One
+  // cursor serves every binding. After a scope it rests on the first entry
+  // at or past the scope's end, docid_floor_. A scope that starts there or
+  // later, as the bindings of one D-key group do in label order, reads on
+  // from it: no seek when the cursor already sits in the scope, else a
+  // finger seek, which finds a target in the pinned leaf without loading a
+  // page. Any other scope seeks back.
   void CollectDocIds(const NodeRecord& node) {
     Count(&obs::QueryProfile::docid_range_scans,
           MatcherMetrics::Get().docid_range_scans);
-    auto it = context_.docid_tree.NewIterator();
-    it->set_deadline_checker(context_.deadline);
-    const std::string lo = EncodeDocIdKey(node.n, 0);
+    if (docid_it_ == nullptr) {
+      docid_it_ = context_.docid_tree.NewIterator();
+      docid_it_->set_deadline_checker(context_.deadline);
+    }
+    BTree::Iterator* it = docid_it_.get();
+    char start[kDocIdKeySize];
+    const Slice lo = EncodeDocIdKey(node.n, 0, start);
     const uint64_t hi = node.n + node.size;
-    for (it->Seek(lo); it->Valid(); it->Next()) {
+    if (node.n < docid_floor_ || (it->Valid() && it->key().Compare(lo) < 0)) {
+      it->Seek(lo);
+    }
+    for (; it->Valid(); it->Next()) {
       if (DeadlineExpired()) return;
       uint64_t n = 0, doc_id = 0;
       if (!DecodeDocIdKey(it->key(), &n, &doc_id)) {
@@ -480,7 +501,11 @@ class Searcher {
       if (n >= hi) break;
       results_->push_back(doc_id);
     }
-    if (!it->status().ok()) status_ = it->status();
+    if (!it->status().ok()) {
+      status_ = it->status();
+      return;
+    }
+    docid_floor_ = hi;
   }
 
   const MatchContext& context_;
@@ -488,6 +513,12 @@ class Searcher {
   obs::QueryProfile* profile_;
   std::vector<uint64_t>* results_;
   std::vector<BoundMatch> bound_;
+  // The search's cursors: one per query element (created on first use) and
+  // one over the DocId tree, which rests on the first entry at or past
+  // docid_floor_ (no label before the first collection).
+  std::vector<std::unique_ptr<BTree::Iterator>> cursors_;
+  std::unique_ptr<BTree::Iterator> docid_it_;
+  uint64_t docid_floor_ = UINT64_MAX;
   // Index of the leading chain's last element (qc), and whether any later
   // element's query-tree parent is one of q0..qc-1.
   size_t chain_end_ = 0;

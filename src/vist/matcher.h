@@ -36,11 +36,19 @@
 // (n, n + size) holds no anchor is skipped without a seek, a group scan
 // stops once parent_n reaches the largest anchor, and no anchors means no
 // match. The collection runs on credit the search earns: one credit per
-// range scan the search opens, 4 per anchor seek (a root-to-leaf
+// range scan the search opens, 4 per anchor seek (at most a root-to-leaf
 // descent), 1 per anchor entry, and the first seek waits for 4 credits.
 // So a search that opens few range scans does little or no anchor work.
 // Anchor seeks count as range scans and anchor entries as entries
 // scanned.
+//
+// Cursors. A search keeps its cursors for its whole run: one entry cursor
+// per query element, the anchor cursor, and one DocId cursor. A re-seek
+// is a finger seek (storage/btree.h), so when the next binding of a
+// parent moves its children's cursors, they re-descend only below the
+// levels they keep pinned. The bindings of one D-key group arrive in
+// label order with disjoint scopes, so the DocId cursor reads on from one
+// binding's scope to the next instead of seeking.
 
 #ifndef VIST_VIST_MATCHER_H_
 #define VIST_VIST_MATCHER_H_

@@ -111,6 +111,11 @@ TEST(KeyCodecTest, DocIdKeyRoundTripAndOrder) {
   EXPECT_LT(Slice(k1).Compare(k2), 0);
   EXPECT_LT(Slice(k2).Compare(k3), 0);
   EXPECT_FALSE(DecodeDocIdKey(Slice("tooshort"), &n, &doc));
+
+  // The buffer-writing form encodes the same bytes.
+  char buf[kDocIdKeySize];
+  EXPECT_EQ(EncodeDocIdKey(5, 2, buf).ToString(), k2);
+  EXPECT_EQ(EncodeDocIdKey(6, 0, buf).ToString(), k3);
 }
 
 TEST(KeyCodecTest, PrefixRangeEndCoversAllExtensions) {

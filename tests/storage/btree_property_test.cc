@@ -1,15 +1,20 @@
 // Property tests: the B+ tree must behave exactly like std::map under long
 // randomized sequences of interleaved Put/Delete/Get/scan, across several
-// page sizes, value sizes, and reopen points.
+// page sizes, value sizes, and reopen points. One cursor re-seeked many
+// times (the finger Seek) must answer like a fresh one.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/btree.h"
 #include "storage/version.h"
 
@@ -172,6 +177,123 @@ TEST_P(BTreePropertyTest, SeekAgreesWithLowerBound) {
       EXPECT_EQ(it->key().ToString(), mit->first);
     }
   }
+}
+
+// Seeks `it` to `target` and checks it against `model` for the entry found
+// and the `steps` entries after it (Next() runs that cross leaves).
+void CheckSeek(BTree::Iterator* it,
+               const std::map<std::string, std::string>& model,
+               const std::string& target, int steps) {
+  it->Seek(target);
+  auto mit = model.lower_bound(target);
+  for (int step = 0;; ++step, ++mit) {
+    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    if (mit == model.end()) {
+      ASSERT_FALSE(it->Valid()) << target << " +" << step;
+      return;
+    }
+    ASSERT_TRUE(it->Valid()) << target << " +" << step;
+    ASSERT_EQ(it->key().ToString(), mit->first) << target << " +" << step;
+    ASSERT_EQ(it->value().ToString(), mit->second);
+    if (step == steps) return;
+    it->Next();
+  }
+}
+
+TEST_P(BTreePropertyTest, FingerSeekAgreesWithStdMap) {
+  Random rng(GetParam().seed ^ 0xf1a9e5);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 2000; ++i) {
+    std::string key = RandomKey(&rng);
+    ASSERT_TRUE(tree_->Put(key, "v" + std::to_string(i)).ok());
+    model[key] = "v" + std::to_string(i);
+  }
+  std::vector<std::string> targets;
+  for (int i = 0; i < 300; ++i) targets.push_back(RandomKey(&rng));
+  std::sort(targets.begin(), targets.end());
+  // Past every key: the alphabet is 'a'..'d'.
+  const std::string past_end(GetParam().max_key_len + 1, 'z');
+
+  auto it = tree_->NewIterator();
+  for (const std::string& target : targets) {  // ascending
+    CheckSeek(it.get(), model, target, static_cast<int>(rng.Uniform(3)));
+  }
+  for (auto t = targets.rbegin(); t != targets.rend(); ++t) {  // descending
+    CheckSeek(it.get(), model, *t, static_cast<int>(rng.Uniform(3)));
+  }
+  for (int i = 0; i < 300; ++i) {  // random, with runs across leaves
+    CheckSeek(it.get(), model, RandomKey(&rng),
+              static_cast<int>(rng.Uniform(60)));
+    if (i % 50 == 0) CheckSeek(it.get(), model, past_end, 0);
+  }
+  // Off the end by Next(), then back.
+  CheckSeek(it.get(), model, model.rbegin()->first, 1);
+  CheckSeek(it.get(), model, targets[targets.size() / 2], 3);
+  CheckSeek(it.get(), model, past_end, 0);
+  CheckSeek(it.get(), model, targets.front(), 3);
+}
+
+TEST_P(BTreePropertyTest, AscendingFingerSeeksLoadEachPageAtMostOnce) {
+  Random rng(GetParam().seed ^ 0xa5c);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 2000; ++i) {
+    std::string key = RandomKey(&rng);
+    ASSERT_TRUE(tree_->Put(key, "v").ok());
+    model[key] = "v";
+  }
+  uint64_t& accesses = obs::ThisThreadStorageCounters().btree_node_accesses;
+  // A full scan loads every page of the tree exactly once.
+  uint64_t before = accesses;
+  ASSERT_TRUE(tree_->CountEntries().ok());
+  const uint64_t pages = accesses - before;
+
+  // A seek to every key in order never returns to a subtree it left, so
+  // it loads no page twice; one root-to-leaf descent per key would load
+  // height x keys.
+  before = accesses;
+  auto it = tree_->NewIterator();
+  for (const auto& [key, value] : model) {
+    it->Seek(key);
+    ASSERT_TRUE(it->Valid());
+    ASSERT_EQ(it->key().ToString(), key);
+  }
+  EXPECT_LE(accesses - before, pages);
+}
+
+TEST_P(BTreePropertyTest, FingerSeeksOnASnapshotWhileAWriterCommits) {
+  Random rng(GetParam().seed ^ 0x7ead);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 1500; ++i) {
+    std::string key = RandomKey(&rng);
+    ASSERT_TRUE(tree_->Put(key, "v" + std::to_string(i)).ok());
+    model[key] = "v" + std::to_string(i);
+  }
+  ASSERT_TRUE(versions_->Commit(++epoch_).ok());
+  const std::shared_ptr<const Version> pinned = versions_->Pin();
+  versions_->BeginWrite();
+
+  // The reader keeps one cursor on the pinned version while the writer
+  // shadows, commits and retires the pages around it.
+  std::thread reader([&] {
+    Random reader_rng(GetParam().seed ^ 0x4ead);
+    auto it = tree_->ViewAt(*pinned).NewIterator();
+    for (int i = 0; i < 1500 && !::testing::Test::HasFailure(); ++i) {
+      CheckSeek(it.get(), model, RandomKey(&reader_rng),
+                static_cast<int>(reader_rng.Uniform(20)));
+    }
+  });
+  for (int i = 0; i < 3000; ++i) {
+    std::string key = RandomKey(&rng);
+    const Status s = rng.Uniform(3) == 0
+                         ? tree_->Delete(key)
+                         : tree_->Put(key, "post" + std::to_string(i));
+    if (!s.ok() && !s.IsNotFound()) {
+      ADD_FAILURE() << s.ToString();
+      break;  // still join the reader
+    }
+    if (i % 200 == 199) CommitCycle();
+  }
+  reader.join();
 }
 
 TEST_P(BTreePropertyTest, SnapshotViewIsRepeatableUnderLaterMutations) {

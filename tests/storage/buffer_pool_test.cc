@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 namespace vist {
 namespace {
@@ -107,6 +108,98 @@ TEST_F(BufferPoolTest, AllPinnedReportsError) {
   }
   auto overflow = pool.New();
   EXPECT_FALSE(overflow.ok());
+}
+
+// Fills an 8-frame pool with 8 written-back, unpinned pages and returns
+// their ids.
+std::vector<PageId> FillPool(BufferPool* pool) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < 8; ++i) {
+    auto ref = pool->New();
+    EXPECT_TRUE(ref.ok());
+    if (!ref.ok()) return ids;
+    memset(ref->data(), 'a' + i, 16);
+    ids.push_back(ref->id());
+  }
+  EXPECT_TRUE(pool->FlushAll().ok());
+  return ids;
+}
+
+TEST_F(BufferPoolTest, ClockGivesAHitFrameASecondChance) {
+  BufferPool pool(pager_.get(), 8);
+  const std::vector<PageId> ids = FillPool(&pool);
+  ASSERT_EQ(ids.size(), 8u);
+  // Hit every frame but one, wherever the hand stands.
+  constexpr size_t kCold = 3;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i != kCold) {
+      ASSERT_TRUE(pool.Fetch(ids[i]).ok());
+    }
+  }
+  // One eviction pass: the hand clears the hit frames' bits and takes the
+  // cold one.
+  ASSERT_TRUE(pool.New().ok());
+  const uint64_t misses = pool.miss_count();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i == kCold) continue;
+    auto ref = pool.Fetch(ids[i]);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref->data()[0], 'a' + static_cast<int>(i));
+  }
+  EXPECT_EQ(pool.miss_count(), misses) << "a hit frame was evicted";
+  ASSERT_TRUE(pool.Fetch(ids[kCold]).ok());
+  EXPECT_EQ(pool.miss_count(), misses + 1) << "the cold frame stayed";
+}
+
+TEST_F(BufferPoolTest, ClockNeverChoosesAPinnedFrame) {
+  BufferPool pool(pager_.get(), 8);
+  const std::vector<PageId> ids = FillPool(&pool);
+  ASSERT_EQ(ids.size(), 8u);
+  // Pin seven frames, hit and cold alike; only the eighth can be a victim.
+  std::vector<PageRef> pins;
+  for (size_t i = 0; i + 1 < ids.size(); ++i) {
+    auto ref = pool.Fetch(ids[i]);
+    ASSERT_TRUE(ref.ok());
+    pins.push_back(std::move(ref).value());
+  }
+  EXPECT_EQ(pool.pinned_frames(), 7u);
+  for (int round = 0; round < 20; ++round) ASSERT_TRUE(pool.New().ok());
+  const uint64_t misses = pool.miss_count();
+  for (size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(pins[i].data()[0], 'a' + static_cast<int>(i));
+    ASSERT_TRUE(pool.Fetch(ids[i]).ok());
+  }
+  EXPECT_EQ(pool.miss_count(), misses) << "a pinned frame was evicted";
+  pins.clear();
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+}
+
+TEST_F(BufferPoolTest, ClockReportsExhaustionWhenEveryFrameIsPinned) {
+  BufferPool pool(pager_.get(), 8);
+  const std::vector<PageId> ids = FillPool(&pool);
+  ASSERT_EQ(ids.size(), 8u);
+  PageId outside = kInvalidPageId;
+  {
+    auto ref = pool.New();  // evicts one of the eight
+    ASSERT_TRUE(ref.ok());
+    outside = ref->id();
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  std::vector<PageRef> pins;
+  for (PageId id : ids) {
+    auto ref = pool.Fetch(id);
+    ASSERT_TRUE(ref.ok());
+    pins.push_back(std::move(ref).value());
+  }
+  EXPECT_EQ(pool.pinned_frames(), 8u);
+  auto miss = pool.Fetch(outside);
+  ASSERT_FALSE(miss.ok());
+  EXPECT_NE(miss.status().ToString().find("exhausted"), std::string::npos)
+      << miss.status().ToString();
+  EXPECT_FALSE(pool.New().ok());
+  // One unpin (lock-free) makes room again.
+  pins.pop_back();
+  EXPECT_TRUE(pool.Fetch(outside).ok());
 }
 
 TEST_F(BufferPoolTest, MovedFromRefIsInert) {

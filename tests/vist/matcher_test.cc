@@ -1,6 +1,7 @@
 // Direct matcher tests: work counters, the Figure-10 measurement mode,
-// and resilience to on-disk corruption (a damaged index must surface
-// Status::Corruption, never crash or return wrong data silently).
+// deadlines that expire mid-search, and resilience to on-disk corruption
+// (a damaged index must surface Status::Corruption, never crash or return
+// wrong data silently).
 
 #include "vist/matcher.h"
 
@@ -9,8 +10,13 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/deadline.h"
 #include "common/random.h"
 #include "query/query_sequence.h"
+#include "storage/buffer_pool.h"
+#include "storage/pager.h"
+#include "storage/version.h"
+#include "vist/manifest.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
 
@@ -157,9 +163,10 @@ obs::QueryProfile ProfileOneDocument(const std::string& xml,
 
 // Minimal deterministic workloads: one document, one query, both trees a
 // single page deep, so the page-access count of Algorithm 2 is an exact,
-// stable number rather than a lower bound. Over single-page trees every
-// iterator seek costs exactly 1 page access: the root-to-leaf descent pins
-// each page once and reads cells in place (no second leaf fetch). Guards
+// stable number rather than a lower bound. Over single-page trees a
+// cursor's first seek costs exactly 1 page access: the descent pins the
+// page and reads cells in place (no second leaf fetch); the cursor's later
+// seeks stay in the page it keeps pinned. Each cursor below seeks once. Guards
 // the ProfileScope delta accounting: any change here means the per-query
 // index_nodes_accessed column in the benchmarks shifted too.
 TEST(MatcherProfileTest, ExactIndexNodeAccessCounts) {
@@ -207,6 +214,14 @@ TEST(MatcherProfileTest, DirectSeekAfterTheChain) {
 // key 37's value scan, then the second author's key and value scans. That
 // is 10 range scans and 10 matched nodes (2 authors, 6 keys, the value
 // twice).
+//
+// Page accesses: the four entry cursors (author, key, value, anchor) each
+// descend once through the two-level entry tree, root and leaf: 8. Later
+// seeks re-route below the root each cursor keeps pinned: the value
+// cursor's move to the leaf holding the later values loads 1 page, and
+// every other seek lands in a leaf already pinned. The one-page DocId
+// tree costs 1 for both DocId scans, the second reading on from the
+// first. 10 in all.
 constexpr int kBooks = 40;
 
 std::vector<std::string> Books() {
@@ -224,7 +239,7 @@ TEST(MatcherProfileTest, AnchorsPruneBindingsThatCannotReachTheLastValue) {
       ProfileDocuments(Books(), "/book[key='k37']/author", {38});
   EXPECT_EQ(profile.range_scans, 10u);
   EXPECT_EQ(profile.nodes_matched, 10u);
-  EXPECT_EQ(profile.index_nodes_accessed, 23u);
+  EXPECT_EQ(profile.index_nodes_accessed, 10u);
   EXPECT_EQ(profile.docid_range_scans, 2u);
 }
 
@@ -232,15 +247,200 @@ TEST(MatcherProfileTest, SelectiveChainEndCollectsNoAnchors) {
   // The chain book -> key -> 'k37' ends at a value bound once; year and its
   // common value then seek inside its scope. 3 range scans earn 3 credits,
   // fewer than an anchor seek costs, so the counts are those of a search
-  // without anchors: 3 range scans and 3 matched nodes (k37, year, 1999),
-  // 2 page accesses per seek in the two-level entry tree plus 1 for the
-  // DocId seek.
+  // without anchors: 3 range scans and 3 matched nodes (k37, year, 1999).
+  // Each element's cursor seeks once, 2 page accesses in the two-level
+  // entry tree, plus 1 for the DocId seek.
   const obs::QueryProfile profile = ProfileDocuments(
       Books(), "/book[key='k37']/year[text()='1999']", {38});
   EXPECT_EQ(profile.range_scans, 3u);
   EXPECT_EQ(profile.nodes_matched, 3u);
   EXPECT_EQ(profile.index_nodes_accessed, 7u);
   EXPECT_EQ(profile.docid_range_scans, 1u);
+}
+
+// N bindings of the last element in one D-key group: each document puts
+// its own value before `d`, so every `d` is a distinct trie node with the
+// D-key (d, a), and the group's bindings arrive in label order with
+// disjoint scopes. One DocId cursor reads on from one scope to the next,
+// so the DocId tree costs no more than the leaves touched plus the tree
+// height. `/a` measures the first term: its one binding's scope holds
+// every document, and its single range scan reads every leaf plus the
+// levels above the first one (height - 1). A root-to-leaf descent per
+// binding would cost 2N here.
+TEST(MatcherProfileTest, OneDocIdCursorServesAGroupsBindings) {
+  constexpr uint64_t kDocs = 400;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("vist_matcher_docid_" + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  auto index = VistIndex::Create(dir.string(), VistOptions());
+  ASSERT_TRUE(index.ok());
+  std::vector<uint64_t> all;
+  for (uint64_t i = 1; i <= kDocs; ++i) {
+    auto doc = xml::Parse("<a><c>v" + std::to_string(i) + "</c><d/></a>");
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE((*index)->InsertDocument(*doc->root(), i).ok());
+    all.push_back(i);
+  }
+  // Page accesses spent on the DocId tree: the run minus the same run
+  // without DocId collection.
+  auto docid_accesses = [&](const char* path, uint64_t bindings) {
+    auto compiled = query::CompilePath(path, *(*index)->symbols());
+    EXPECT_TRUE(compiled.ok());
+    obs::QueryProfile with, without;
+    auto ids = (*index)->QueryCompiled(*compiled, &with);
+    EXPECT_TRUE(ids.ok());
+    EXPECT_EQ(*ids, all) << path;
+    EXPECT_EQ(with.docid_range_scans, bindings) << path;
+    EXPECT_TRUE((*index)
+                    ->QueryCompiled(*compiled, &without,
+                                    /*collect_doc_ids=*/false)
+                    .ok());
+    return with.index_nodes_accessed - without.index_nodes_accessed;
+  };
+  const uint64_t one_scan = docid_accesses("/a", 1);
+  const uint64_t per_binding = docid_accesses("/a/d", kDocs);
+  EXPECT_GE(one_scan, 2u) << "the DocId tree should have two levels";
+  EXPECT_LE(per_binding, one_scan + 1);
+  index->reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A ViST index opened below VistIndex: the test owns the buffer pool, to
+// check it for leaked pins, and hands the matcher a DeadlineChecker of its
+// own.
+class DeadlineInsideCollectionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("vist_matcher_deadline_" + std::to_string(getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override {
+    entry_.reset();
+    docid_.reset();
+    version_.reset();
+    versions_.reset();
+    pool_.reset();
+    pager_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  // Indexes `xmls` (doc ids 1, 2, ...), compiles `path`, and reopens the
+  // page file with a stack of the test's own.
+  void Build(const std::vector<std::string>& xmls, const std::string& path) {
+    {
+      auto index = VistIndex::Create(dir_.string(), VistOptions());
+      ASSERT_TRUE(index.ok());
+      for (size_t i = 0; i < xmls.size(); ++i) {
+        auto doc = xml::Parse(xmls[i]);
+        ASSERT_TRUE(doc.ok());
+        ASSERT_TRUE((*index)->InsertDocument(*doc->root(), i + 1).ok());
+      }
+      auto compiled = query::CompilePath(path, *(*index)->symbols());
+      ASSERT_TRUE(compiled.ok());
+      compiled_ = std::move(compiled).value();
+      ASSERT_TRUE((*index)->Flush().ok());
+    }
+    PagerOptions options;
+    options.create = false;
+    auto pager = Pager::Open((dir_ / "index.db").string(), options);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    pager_ = std::move(pager).value();
+    pool_ = std::make_unique<BufferPool>(pager_.get(), 256);
+    versions_ = std::make_unique<VersionManager>(pager_.get(), pool_.get());
+    versions_->Bootstrap();
+    auto entry = BTree::Open(pager_.get(), pool_.get(), versions_.get(),
+                             kEntryTreeSlot);
+    auto docid = BTree::Open(pager_.get(), pool_.get(), versions_.get(),
+                             kDocIdTreeSlot);
+    ASSERT_TRUE(entry.ok() && docid.ok());
+    entry_ = std::move(entry).value();
+    docid_ = std::move(docid).value();
+    version_ = versions_->Pin();
+  }
+
+  Result<std::vector<uint64_t>> Match(DeadlineChecker* checker,
+                                      obs::QueryProfile* profile) {
+    MatchContext context{entry_->ViewAt(*version_), docid_->ViewAt(*version_),
+                         version_->slots[kMaxDepthSlot],
+                         /*collect_doc_ids=*/true, checker};
+    return MatchCompiledQuery(context, compiled_, profile);
+  }
+
+  // Runs the query with expiry at its k-th checkpoint for k = 1, 2, ...
+  // until a run completes, which must give `expected`. Every run before it
+  // must fail with DeadlineExceeded, touch no page after the expiring
+  // checkpoint (each page load is preceded by a check, so fewer than k
+  // loads), and leave no frame pinned. Returns each failed run's profile,
+  // the k-th at index k - 1.
+  std::vector<obs::QueryProfile> SweepExpiry(
+      const std::vector<uint64_t>& expected) {
+    std::vector<obs::QueryProfile> failed;
+    for (uint32_t k = 1; k < 100000; ++k) {
+      DeadlineChecker checker = DeadlineChecker::ExpiringAtCheckForTesting(k);
+      obs::QueryProfile profile;
+      auto ids = Match(&checker, &profile);
+      EXPECT_EQ(pool_->pinned_frames(), 0u) << "k=" << k;
+      if (ids.ok()) {
+        EXPECT_EQ(*ids, expected);
+        return failed;
+      }
+      EXPECT_TRUE(ids.status().IsDeadlineExceeded())
+          << "k=" << k << ": " << ids.status().ToString();
+      EXPECT_LT(profile.index_nodes_accessed, k) << "k=" << k;
+      failed.push_back(profile);
+      if (::testing::Test::HasFailure()) break;
+    }
+    ADD_FAILURE() << "no run completed";
+    return failed;
+  }
+
+  std::filesystem::path dir_;
+  query::CompiledQuery compiled_;
+  std::unique_ptr<Pager> pager_;
+  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<VersionManager> versions_;
+  std::unique_ptr<BTree> entry_;
+  std::unique_ptr<BTree> docid_;
+  std::shared_ptr<const Version> version_;
+};
+
+// Q1's shape: '/a/b' binds one `b` whose scope holds every document, so
+// almost every checkpoint of the search lies in its DocId collection,
+// which spans several DocId leaves. The first check after the DocId range
+// scan is counted is the DocId cursor's first page load; from there on,
+// each DocId entry's checkpoint is the expiring one in one run.
+TEST_F(DeadlineInsideCollectionTest, ExpiryInsideDocIdCollection) {
+  constexpr uint64_t kDocs = 400;
+  std::vector<uint64_t> all;
+  for (uint64_t i = 1; i <= kDocs; ++i) all.push_back(i);
+  Build(std::vector<std::string>(kDocs, "<a><b/></a>"), "/a/b");
+  const std::vector<obs::QueryProfile> failed = SweepExpiry(all);
+  uint64_t inside = 0;
+  for (const obs::QueryProfile& profile : failed) {
+    if (profile.docid_range_scans == 1) ++inside;
+  }
+  EXPECT_GE(inside, kDocs);
+}
+
+// The anchor case of AnchorsPruneBindingsThatCannotReachTheLastValue: the
+// search's fourth range scan pays for the anchor seek, which is counted as
+// the fifth with no checkpoint between the two. The next checkpoint is the
+// anchor cursor's first page load. So the one run whose profile shows two
+// more range scans than the run before expired there, inside anchor
+// collection; later runs expire at its entries too.
+TEST_F(DeadlineInsideCollectionTest, ExpiryInsideAnchorCollection) {
+  Build(Books(), "/book[key='k37']/author");
+  const std::vector<obs::QueryProfile> failed = SweepExpiry({38});
+  int anchor_seeks = 0;
+  for (size_t i = 1; i < failed.size(); ++i) {
+    if (failed[i].range_scans == failed[i - 1].range_scans + 2) {
+      ++anchor_seeks;
+      EXPECT_EQ(failed[i].range_scans, 5u);
+    }
+  }
+  EXPECT_EQ(anchor_seeks, 1);
 }
 
 TEST_F(MatcherTest, EmptyAlternativesMatchNothing) {
