@@ -1,20 +1,13 @@
 // vist_server — a standalone serving binary over a ViST index.
 //
-//   vist_server [--engine=vist|router] <index-dir> [port]
+//   vist_server <index-dir> [port]
 //
-// Default engine (vist): opens the index in the directory, or creates one
-// when it holds none, wraps it in the serving cache, and serves the
-// binary wire protocol (docs/SERVING.md) on 127.0.0.1:<port> until
-// SIGINT/SIGTERM, then drains in-flight requests and exits.
-//
-// --engine=router serves the cost-based multi-engine router instead
-// (exec/router.h): a ViST index, a path baseline, and a node baseline all
-// loaded under <index-dir>/{vist,paths,nodes}, every mutation fanned out
-// to all three, every query dispatched to the predicted-cheapest engine —
-// still behind the same serving cache, whose epoch protocol the router
-// honors. The baselines have no Open() yet, so router mode requires a
-// fresh directory (it refuses an existing one rather than serve engines
-// that silently disagree).
+// Opens the index in the directory, or creates one when it holds none,
+// wraps it in the serving cache, and serves the binary wire protocol
+// (docs/SERVING.md) on 127.0.0.1:<port> until SIGINT/SIGTERM, then drains
+// in-flight requests, flushes and exits. Any argument that starts with
+// '-' is refused with the usage line (exit 2), so a mistyped flag is
+// never taken for the index directory.
 //
 // Port 0 (the default) picks an ephemeral port and prints it — handy for
 // scripted smoke tests:
@@ -26,15 +19,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
+#include <ctime>
 #include <memory>
 #include <string>
 
-#include "baseline/node_index.h"
-#include "baseline/path_index.h"
 #include "exec/caching_index.h"
-#include "exec/router.h"
 #include "server/server.h"
 #include "vist/vist_index.h"
 
@@ -46,20 +35,21 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-int ServeUntilSignalled(vist::QueryableIndex* engine,
-                        vist::server::DocumentWriter* writer,
-                        vist::QueryableIndex* flush_target, uint16_t port,
-                        const std::string& dir, const char* engine_name) {
-  vist::exec::CachingIndex cache(engine);
+int ServeUntilSignalled(vist::VistIndex* index, uint16_t port,
+                        const std::string& dir) {
+  // The production shape: queries go through the epoch-invalidated cache,
+  // writes go straight to the index (whose epoch bump invalidates).
+  vist::exec::CachingIndex cache(index);
+  vist::server::VistIndexWriter writer(index);
   vist::server::ServerOptions options;
   options.port = port;
-  vist::server::VistServer server(&cache, writer, options);
+  vist::server::VistServer server(&cache, &writer, options);
   if (auto status = server.Start(); !status.ok()) {
     fprintf(stderr, "start: %s\n", status.ToString().c_str());
     return 1;
   }
-  printf("serving on 127.0.0.1:%u (engine: %s, index: %s)\n", server.port(),
-         engine_name, dir.c_str());
+  printf("serving on 127.0.0.1:%u (index: %s)\n", server.port(),
+         dir.c_str());
   fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
@@ -71,7 +61,7 @@ int ServeUntilSignalled(vist::QueryableIndex* engine,
 
   printf("draining...\n");
   server.Stop();
-  if (auto status = flush_target->Flush(); !status.ok()) {
+  if (auto status = index->Flush(); !status.ok()) {
     fprintf(stderr, "flush: %s\n", status.ToString().c_str());
     return 1;
   }
@@ -82,56 +72,14 @@ int ServeUntilSignalled(vist::QueryableIndex* engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string engine = "vist";
-  int arg = 1;
-  if (arg < argc && strncmp(argv[arg], "--engine=", 9) == 0) {
-    engine = argv[arg] + 9;
-    ++arg;
-  }
-  if (arg >= argc || (engine != "vist" && engine != "router")) {
-    fprintf(stderr, "usage: %s [--engine=vist|router] <index-dir> [port]\n",
-            argv[0]);
+  bool usage = argc < 2 || argc > 3;
+  for (int i = 1; i < argc; ++i) usage = usage || argv[i][0] == '-';
+  if (usage) {
+    fprintf(stderr, "usage: %s <index-dir> [port]\n", argv[0]);
     return 2;
   }
-  const std::string dir = argv[arg];
-  const auto port =
-      static_cast<uint16_t>(arg + 1 < argc ? atoi(argv[arg + 1]) : 0);
-
-  if (engine == "router") {
-    if (std::filesystem::exists(dir)) {
-      fprintf(stderr,
-              "--engine=router needs a fresh directory (the baseline "
-              "engines cannot reopen one): %s exists\n",
-              dir.c_str());
-      return 1;
-    }
-    auto vist_index =
-        vist::VistIndex::Create(dir + "/vist", vist::VistOptions());
-    if (!vist_index.ok()) {
-      fprintf(stderr, "create %s/vist: %s\n", dir.c_str(),
-              vist_index.status().ToString().c_str());
-      return 1;
-    }
-    auto path_index =
-        vist::PathIndex::Create(dir + "/paths", (*vist_index)->symbols());
-    if (!path_index.ok()) {
-      fprintf(stderr, "create %s/paths: %s\n", dir.c_str(),
-              path_index.status().ToString().c_str());
-      return 1;
-    }
-    auto node_index =
-        vist::NodeIndex::Create(dir + "/nodes", (*vist_index)->symbols());
-    if (!node_index.ok()) {
-      fprintf(stderr, "create %s/nodes: %s\n", dir.c_str(),
-              node_index.status().ToString().c_str());
-      return 1;
-    }
-    vist::exec::Router router(vist_index->get(), path_index->get(),
-                              node_index->get());
-    vist::server::RouterWriter writer(&router);
-    return ServeUntilSignalled(&router, &writer, &router, port, dir,
-                               "router");
-  }
+  const std::string dir = argv[1];
+  const auto port = static_cast<uint16_t>(argc > 2 ? atoi(argv[2]) : 0);
 
   // NotFound: the directory holds no committed index (absent, or left by
   // a Create that crashed), so make one.
@@ -144,9 +92,5 @@ int main(int argc, char** argv) {
             index.status().ToString().c_str());
     return 1;
   }
-  // The production shape: queries go through the epoch-invalidated cache,
-  // writes go straight to the index (whose epoch bump invalidates).
-  vist::server::VistIndexWriter writer(index->get());
-  return ServeUntilSignalled(index->get(), &writer, index->get(), port, dir,
-                             "vist");
+  return ServeUntilSignalled(index->get(), port, dir);
 }

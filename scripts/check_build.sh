@@ -27,8 +27,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # fault-tolerance regression fails the gate by name.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L faults
 
-# Differential-oracle suite: the router vs. every bare engine over
-# thousands of seeded queries (tests/exec/router_oracle_test.cc). ctest
+# Differential-oracle suite: ViST, the path index and the node index
+# against each other and against naive Algorithm 1 over thousands of
+# seeded queries (tests/integration/engine_oracle_test.cc). ctest
 # treats a label matching zero tests as success, so guard against the
 # label silently vanishing before rerunning it by name. (grep reads the
 # whole listing: `grep -q` would exit at the first match and, under

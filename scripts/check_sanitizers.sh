@@ -2,7 +2,7 @@
 # Sanitizer pass over the fault-tolerance surface and the query path:
 # builds the tree with ASan + UBSan and runs the storage and vist suites
 # (pager, buffer pool, journal recovery, fault injection, crash matrix,
-# fsck, matcher), the exec suite (serving cache, router) and the query
+# fsck, matcher), the exec suite (serving cache, snapshots) and the query
 # compiler suite under them.
 # Usage: scripts/check_sanitizers.sh [build-dir]   (default: build-asan)
 set -euo pipefail

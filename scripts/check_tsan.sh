@@ -20,7 +20,7 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target storage_concurrency_test vist_concurrent_query_test \
            vist_snapshot_stress_test \
-           exec_caching_stress_test exec_router_stress_test \
+           exec_caching_stress_test \
            server_stress_test server_test \
            server_fault_transport_test server_chaos_test \
            storage_test vist_test lockdep_test
@@ -28,7 +28,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R '^(lockdep_test|storage_concurrency_test|vist_concurrent_query_test|vist_snapshot_stress_test|exec_caching_stress_test|exec_router_stress_test|server_stress_test|server_test|server_fault_transport_test|server_chaos_test|storage_test|vist_test)$'
+  -R '^(lockdep_test|storage_concurrency_test|vist_concurrent_query_test|vist_snapshot_stress_test|exec_caching_stress_test|server_stress_test|server_test|server_fault_transport_test|server_chaos_test|storage_test|vist_test)$'
 
 # Re-run one storage-heavy and one serving-heavy suite with the lockdep
 # edge graph dumped at exit, and diff the observed acquisition order

@@ -8,7 +8,7 @@
 namespace vist {
 
 /// An atomic publication slot for shared_ptr values — the install point
-/// for versioned snapshots (storage::VersionManager, exec::Router).
+/// for versioned snapshots (storage::VersionManager).
 ///
 /// Why not std::atomic<std::shared_ptr<T>>? libstdc++'s _Sp_atomic (GCC
 /// 12, bits/shared_ptr_atomic.h) guards its pointer field with a spinlock

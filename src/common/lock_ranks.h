@@ -42,9 +42,6 @@ inline constexpr uint32_t kLockRankFlagUnordered = 1;
 #define VIST_LOCK_RANK_LIST(X)                                               \
   X(kTestHarness,     5,  kLockRankFlagNone,                                 \
     "test/bench harness locks wrapping whole-index operations")              \
-  X(kRouter,          10, kLockRankFlagNone,                                 \
-    "exec::Router's writer lock (QueryableIndex::Mutate) — serializes the "  \
-    "mutation fan-out and the shared symbol table")                          \
   X(kIndexWriter,     20, kLockRankFlagNone,                                 \
     "engine writer lock (QueryableIndex::Mutate in VistIndex and the "       \
     "baselines) — serializes mutators only; snapshot readers never take it") \
@@ -61,9 +58,6 @@ inline constexpr uint32_t kLockRankFlagUnordered = 1;
   X(kCacheShard,      60, kLockRankFlagNone,                                 \
     "exec::CachingIndex result shard — leaf in practice: released "          \
     "before the cache calls into the wrapped index")                         \
-  X(kRouterFeedback,  65, kLockRankFlagNone,                                 \
-    "exec::Router::feedback_mu_ — cost-model feedback state, never held "    \
-    "across an engine call")                                                 \
   X(kServerConnList,  70, kLockRankFlagNone,                                 \
     "server::VistServer::conns_mu_ — the connection/reader-thread lists")    \
   X(kServerQueue,     72, kLockRankFlagNone,                                 \

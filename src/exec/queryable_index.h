@@ -3,8 +3,8 @@
 // Before this interface existed each engine grew its own query signature
 // (`VistIndex::Query(path, QueryOptions)` vs. the baselines' bare
 // `Query(path, QueryProfile*)`), which made it impossible to build generic
-// serving infrastructure — a cache, an admission controller, a router —
-// over "an index" in the abstract. `QueryableIndex` is that abstraction:
+// serving infrastructure — a cache, a server — over "an index" in the
+// abstract. `QueryableIndex` is that abstraction:
 //
 //   * `Query(path, QueryOptions)`   — evaluate a path expression
 //   * `Prepare` / `QueryWithPlan`   — split compilation from execution
@@ -184,11 +184,6 @@ class QueryableIndex {
   }
 
  protected:
-  /// `writer_rank` names the writer lock's class in common/lock_ranks.h:
-  /// kIndexWriter for an engine, kRouter for a router fronting engines.
-  explicit QueryableIndex(LockRank writer_rank = LockRank::kIndexWriter)
-      : writer_mu_(writer_rank) {}
-
   /// Runs one mutating entry point. `body(epoch)` executes under the
   /// writer lock, which serializes mutators (queries never take it), and
   /// receives the epoch its new version is to be stamped with. Once the
@@ -222,7 +217,7 @@ class QueryableIndex {
   }
 
  private:
-  Mutex writer_mu_;
+  Mutex writer_mu_{LockRank::kIndexWriter};
   std::atomic<uint64_t> epoch_{0};
 };
 

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/coding.h"
-#include "exec/router.h"
 #include "obs/metrics.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
@@ -78,22 +77,17 @@ ServerOptions Sanitize(ServerOptions options) {
 
 }  // namespace
 
-template <typename Index>
-Status IndexWriter<Index>::Insert(std::string_view xml, uint64_t doc_id) {
+Status VistIndexWriter::Insert(std::string_view xml, uint64_t doc_id) {
   auto doc = xml::Parse(xml);
   if (!doc.ok()) return doc.status();
   return index_->InsertDocument(*doc->root(), doc_id);
 }
 
-template <typename Index>
-Status IndexWriter<Index>::Delete(std::string_view xml, uint64_t doc_id) {
+Status VistIndexWriter::Delete(std::string_view xml, uint64_t doc_id) {
   auto doc = xml::Parse(xml);
   if (!doc.ok()) return doc.status();
   return index_->DeleteDocument(*doc->root(), doc_id);
 }
-
-template class IndexWriter<VistIndex>;
-template class IndexWriter<exec::Router>;
 
 VistServer::VistServer(QueryableIndex* index, DocumentWriter* writer,
                        const ServerOptions& options)

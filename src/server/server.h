@@ -72,10 +72,6 @@ namespace vist {
 
 class VistIndex;
 
-namespace exec {
-class Router;
-}  // namespace exec
-
 namespace server {
 
 /// The write side of the serving surface: how INSERT/DELETE frames become
@@ -93,30 +89,21 @@ class DocumentWriter {
   virtual Status Delete(std::string_view xml, uint64_t doc_id) = 0;
 };
 
-/// DocumentWriter over any index whose InsertDocument/DeleteDocument take
-/// a parsed document root and a doc id (borrowed; must outlive the
-/// writer). Typically the same index sits wrapped in an exec::CachingIndex
-/// on the server's query side; mutations here bump the index epoch, which
-/// is exactly the cache's invalidation signal. server.cc instantiates it
-/// for a VistIndex and for an exec::Router, whose mutations fan out to all
-/// three engines under the router's writer lock.
-template <typename Index>
-class IndexWriter : public DocumentWriter {
+/// DocumentWriter over a VistIndex (borrowed; must outlive the writer):
+/// parses each payload and inserts or deletes the document. Typically the
+/// same index sits wrapped in an exec::CachingIndex on the server's query
+/// side; mutations here bump the index epoch, which is exactly the cache's
+/// invalidation signal.
+class VistIndexWriter : public DocumentWriter {
  public:
-  explicit IndexWriter(Index* index) : index_(index) {}
+  explicit VistIndexWriter(VistIndex* index) : index_(index) {}
 
   Status Insert(std::string_view xml, uint64_t doc_id) override;
   Status Delete(std::string_view xml, uint64_t doc_id) override;
 
  private:
-  Index* const index_;
+  VistIndex* const index_;
 };
-
-extern template class IndexWriter<VistIndex>;
-extern template class IndexWriter<exec::Router>;
-
-using VistIndexWriter = IndexWriter<VistIndex>;
-using RouterWriter = IndexWriter<exec::Router>;
 
 struct ServerOptions {
   /// Port to listen on (loopback). 0 asks the kernel for an ephemeral

@@ -34,7 +34,8 @@ int dummy_a, dummy_b, dummy_c;
 
 TEST(LockdepTest, LegalChainPushesAndPopsHeldStack) {
   ASSERT_EQ(HeldLockCountForTesting(), 0u);
-  OnAcquire(&dummy_a, LockRank::kRouter, /*shared=*/false, "chain.cc", 1);
+  OnAcquire(&dummy_a, LockRank::kTestHarness, /*shared=*/false, "chain.cc",
+            1);
   OnAcquire(&dummy_b, LockRank::kIndexWriter, /*shared=*/false, "chain.cc",
             2);
   OnAcquire(&dummy_c, LockRank::kBufferPoolShard, /*shared=*/false,
@@ -49,14 +50,15 @@ TEST(LockdepTest, LegalChainPushesAndPopsHeldStack) {
 TEST(LockdepDeathTest, RankInversionAbortsWithBothSites) {
   OnAcquire(&dummy_a, LockRank::kBufferPoolShard, /*shared=*/false,
             "first_site.cc", 11);
-  // Acquiring the router lock (order 10) while holding a buffer-pool
+  // Acquiring a test-harness lock (order 5) while holding a buffer-pool
   // shard (order 30) is the potential deadlock lockdep exists to catch —
   // even though this schedule, alone, would not have deadlocked. The
   // report must name the acquiring site AND the held site.
-  EXPECT_DEATH(OnAcquire(&dummy_b, LockRank::kRouter, /*shared=*/false,
+  EXPECT_DEATH(OnAcquire(&dummy_b, LockRank::kTestHarness, /*shared=*/false,
                          "second_site.cc", 22),
                "lock-rank inversion.*"
-               "acquiring: kRouter \\(order 10\\) at second_site\\.cc:22.*"
+               "acquiring: kTestHarness \\(order 5\\) at "
+               "second_site\\.cc:22.*"
                "while holding: kBufferPoolShard \\(order 30\\) acquired at "
                "first_site\\.cc:11");
   OnRelease(&dummy_a);
@@ -74,8 +76,9 @@ TEST(LockdepDeathTest, EqualOrderIsAnInversionToo) {
 }
 
 TEST(LockdepDeathTest, RecursiveAcquisitionAborts) {
-  OnAcquire(&dummy_a, LockRank::kRouter, /*shared=*/false, "outer.cc", 5);
-  EXPECT_DEATH(OnAcquire(&dummy_a, LockRank::kRouter, /*shared=*/false,
+  OnAcquire(&dummy_a, LockRank::kTestHarness, /*shared=*/false, "outer.cc",
+            5);
+  EXPECT_DEATH(OnAcquire(&dummy_a, LockRank::kTestHarness, /*shared=*/false,
                          "inner.cc", 6),
                "recursive acquisition.*inner\\.cc:6.*outer\\.cc:5");
   OnRelease(&dummy_a);
@@ -110,8 +113,8 @@ TEST(LockdepDeathTest, LearnedEdgeCycleAbortsWithFirstObservedSites) {
 TEST(LockdepTest, EdgeGraphDumpsObservedEdgesAsJson) {
   // Record a legal production edge, then dump and check the JSON names
   // the classes, orders, and first-observed sites.
-  OnAcquire(&dummy_a, LockRank::kRouter, /*shared=*/false, "dump_held.cc",
-            7);
+  OnAcquire(&dummy_a, LockRank::kTestHarness, /*shared=*/false,
+            "dump_held.cc", 7);
   OnAcquire(&dummy_b, LockRank::kIndexWriter, /*shared=*/false,
             "dump_acq.cc", 8);
   OnRelease(&dummy_b);
@@ -125,10 +128,11 @@ TEST(LockdepTest, EdgeGraphDumpsObservedEdgesAsJson) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string json = buffer.str();
-  EXPECT_NE(json.find("\"from\": \"kRouter\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"from\": \"kTestHarness\""), std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"to\": \"kIndexWriter\""), std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"from_order\": 10"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"from_order\": 5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"to_order\": 20"), std::string::npos) << json;
   std::remove(path.c_str());
 }
@@ -136,7 +140,7 @@ TEST(LockdepTest, EdgeGraphDumpsObservedEdgesAsJson) {
 #if defined(VIST_DEADLOCK_DEBUG) && VIST_DEADLOCK_DEBUG
 
 TEST(LockdepWrapperTest, RealMutexesReportThroughHooks) {
-  Mutex outer{LockRank::kRouter};
+  Mutex outer{LockRank::kTestHarness};
   SharedMutex inner{LockRank::kIndexWriter};
   {
     MutexLock outer_lock(outer);

@@ -19,7 +19,6 @@
 #include "baseline/node_index.h"
 #include "baseline/path_index.h"
 #include "exec/caching_index.h"
-#include "exec/router.h"
 #include "obs/metrics.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
@@ -231,11 +230,6 @@ TEST_F(CachingIndexTest, RejectedMutationBumpsOnceAndPublishesNothing) {
   ExpectRejectedMutation(
       nodes->get(), "NodeIndex delete of an absent document",
       [&] { return (*nodes)->DeleteDocument(*doc.root(), 7); });
-  Router router(index.get(), paths->get(), nodes->get());
-  xml::Document absent = MustParse(UniqueDoc(5));
-  ExpectRejectedMutation(&router, "Router delete of an absent document", [&] {
-    return router.DeleteDocument(*absent.root(), 5);
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // The QueryOptions::snapshot contract (exec/queryable_index.h), checked on
-// every engine that issues snapshots — VistIndex, PathIndex, NodeIndex and
-// the Router over all three:
+// every engine that issues snapshots — VistIndex, PathIndex and
+// NodeIndex:
 //
 //   * a query pinned to an explicit snapshot keeps returning that
 //     snapshot's answer across later inserts and deletes;
@@ -19,7 +19,6 @@
 
 #include "baseline/node_index.h"
 #include "baseline/path_index.h"
-#include "exec/router.h"
 #include "vist/vist_index.h"
 #include "xml/parser.h"
 
@@ -27,7 +26,7 @@ namespace vist {
 namespace exec {
 namespace {
 
-enum class Kind { kVist, kPath, kNode, kRouter };
+enum class Kind { kVist, kPath, kNode };
 
 const char* KindName(Kind kind) {
   switch (kind) {
@@ -37,8 +36,6 @@ const char* KindName(Kind kind) {
       return "path";
     case Kind::kNode:
       return "node";
-    case Kind::kRouter:
-      return "router";
   }
   return "";
 }
@@ -51,7 +48,6 @@ struct Rig {
   std::unique_ptr<VistIndex> vist;
   std::unique_ptr<PathIndex> paths;
   std::unique_ptr<NodeIndex> nodes;
-  std::unique_ptr<Router> router;
   Kind kind = Kind::kVist;
   QueryableIndex* index = nullptr;
 
@@ -78,11 +74,6 @@ struct Rig {
       case Kind::kNode:
         rig->index = rig->nodes.get();
         break;
-      case Kind::kRouter:
-        rig->router = std::make_unique<Router>(
-            rig->vist.get(), rig->paths.get(), rig->nodes.get());
-        rig->index = rig->router.get();
-        break;
     }
     return rig;
   }
@@ -99,9 +90,6 @@ struct Rig {
       case Kind::kNode:
         return insert ? nodes->InsertDocument(root, doc_id)
                       : nodes->DeleteDocument(root, doc_id);
-      case Kind::kRouter:
-        return insert ? router->InsertDocument(root, doc_id)
-                      : router->DeleteDocument(root, doc_id);
     }
     return Status::OK();
   }
@@ -246,7 +234,7 @@ TEST_P(SnapshotContractTest, ForeignSnapshotIsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, SnapshotContractTest,
                          ::testing::Values(Kind::kVist, Kind::kPath,
-                                           Kind::kNode, Kind::kRouter),
+                                           Kind::kNode),
                          [](const ::testing::TestParamInfo<Kind>& info) {
                            return std::string(KindName(info.param));
                          });

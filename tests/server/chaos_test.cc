@@ -13,11 +13,6 @@
 //
 // All randomness is seeded (client jitter, proxy fault streams), so a
 // failure replays.
-//
-// Both serving shapes run the storm (TEST_P over EngineKind): the bare
-// ViST index, and the cost-based router fanning every mutation out to
-// three engines — deadline shedding, drains, and integrity must hold
-// identically behind the router.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine_rig.h"
 #include "exec/caching_index.h"
 #include "server/client.h"
 #include "server/fault_injection_transport.h"
@@ -48,31 +42,44 @@ std::string ChaosDoc(uint64_t i) {
          "></doc>";
 }
 
-class ChaosTest : public ::testing::TestWithParam<EngineKind> {};
+// A fresh ViST index per test, served through a VistIndexWriter.
+class ChaosTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("vist_chaos_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             "_" + std::to_string(getpid())))
+               .string();
+    std::filesystem::remove_all(dir_);
+    auto created = VistIndex::Create(dir_, VistOptions());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    index_ = std::move(created).value();
+    writer_ = std::make_unique<VistIndexWriter>(index_.get());
+  }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ChaosTest,
-    ::testing::Values(EngineKind::kVist, EngineKind::kRouter),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return EngineKindName(info.param);
-    });
+  void TearDown() override {
+    writer_.reset();
+    index_.reset();
+    std::filesystem::remove_all(dir_);
+  }
 
-TEST_P(ChaosTest, ServingPathSurvivesAFaultStorm) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("vist_chaos_" + std::string(EngineKindName(GetParam())) + "_" +
-        std::to_string(getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-  auto rig = EngineRig::Create(dir, GetParam());
-  ASSERT_NE(rig, nullptr);
+  std::string dir_;
+  std::unique_ptr<VistIndex> index_;
+  std::unique_ptr<VistIndexWriter> writer_;
+};
+
+TEST_F(ChaosTest, ServingPathSurvivesAFaultStorm) {
   ASSERT_TRUE(
-      rig->Insert(*xml::Parse(ChaosDoc(0)).value().root(), 1000).ok());
-  exec::CachingIndex caching(rig->engine);
+      index_->InsertDocument(*xml::Parse(ChaosDoc(0)).value().root(), 1000)
+          .ok());
+  exec::CachingIndex caching(index_.get());
 
   ServerOptions server_options;
   server_options.num_workers = 4;
-  VistServer server(&caching, rig->writer.get(), server_options);
+  VistServer server(&caching, writer_.get(), server_options);
   ASSERT_TRUE(server.Start().ok());
 
   FaultInjectionOptions faults;
@@ -157,30 +164,19 @@ TEST_P(ChaosTest, ServingPathSurvivesAFaultStorm) {
   EXPECT_GT(answered.load(), 0u);
   EXPECT_GT(proxy.connections(), 0u);
 
-  // The index survived: structurally sound and still queryable (through
-  // whichever engine the rig serves — behind the router this also proves
-  // the fan-out stayed coherent under the storm).
-  auto fsck = rig->vist->CheckIntegrity();
+  // The index survived: structurally sound and still queryable.
+  auto fsck = index_->CheckIntegrity();
   EXPECT_TRUE(fsck.ok()) << fsck.status().ToString();
-  auto ids = rig->engine->Query("/doc/c0");
+  auto ids = index_->Query("/doc/c0");
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   EXPECT_EQ(*ids, std::vector<uint64_t>{1000});
-
-  rig.reset();
-  std::filesystem::remove_all(dir);
 }
 
-TEST_P(ChaosTest, BlackholeFreezesTrafficUntilLifted) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("vist_blackhole_" + std::string(EngineKindName(GetParam())) + "_" +
-        std::to_string(getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-  auto rig = EngineRig::Create(dir, GetParam());
-  ASSERT_NE(rig, nullptr);
-  ASSERT_TRUE(rig->Insert(*xml::Parse(ChaosDoc(0)).value().root(), 1).ok());
-  VistServer server(rig->engine, nullptr);
+TEST_F(ChaosTest, BlackholeFreezesTrafficUntilLifted) {
+  ASSERT_TRUE(
+      index_->InsertDocument(*xml::Parse(ChaosDoc(0)).value().root(), 1)
+          .ok());
+  VistServer server(index_.get(), nullptr);
   ASSERT_TRUE(server.Start().ok());
   FaultInjectionTransport proxy("127.0.0.1", server.port());
   ASSERT_TRUE(proxy.Start().ok());
@@ -210,8 +206,6 @@ TEST_P(ChaosTest, BlackholeFreezesTrafficUntilLifted) {
 
   server.Stop();
   proxy.Stop();
-  rig.reset();
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

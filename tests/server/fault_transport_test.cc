@@ -2,11 +2,6 @@
 // reconnect-with-backoff, the retry budget, server-side deadline shedding,
 // and the write-error-mid-drain regression — all driven through real
 // sockets, with FaultInjectionTransport standing in for the bad network.
-//
-// The whole suite is parameterized over the serving engine (TEST_P on
-// EngineKind): the bare ViST index and the cost-based router. Deadline
-// shedding and drain accounting in particular must behave identically
-// when the engine behind the server is a three-way fan-out.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +15,6 @@
 
 #include "common/mutex.h"
 #include "common/socket.h"
-#include "engine_rig.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/fault_injection_transport.h"
@@ -65,35 +59,33 @@ class Gate {
   bool open_ VIST_GUARDED_BY(mu_) = false;
 };
 
-class FaultTransportTest : public ::testing::TestWithParam<EngineKind> {
+class FaultTransportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // The parameterized test name contains '/', which may not appear in
-    // a path component.
-    std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (char& c : name) {
-      if (c == '/') c = '_';
-    }
     dir_ = (std::filesystem::temp_directory_path() /
-            ("vist_fault_" + std::to_string(getpid()) + "_" + name))
+            ("vist_fault_" + std::to_string(getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                .string();
     std::filesystem::remove_all(dir_);
-    rig_ = EngineRig::Create(dir_, GetParam());
-    ASSERT_NE(rig_, nullptr);
-    ASSERT_TRUE(rig_->Insert(*xml::Parse(UniqueDoc(1)).value().root(), 1)
-                    .ok());
+    auto created = VistIndex::Create(dir_, VistOptions());
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    index_ = std::move(created).value();
+    writer_ = std::make_unique<VistIndexWriter>(index_.get());
+    ASSERT_TRUE(
+        index_->InsertDocument(*xml::Parse(UniqueDoc(1)).value().root(), 1)
+            .ok());
   }
 
   void TearDown() override {
     proxy_.reset();
     server_.reset();
-    rig_.reset();
+    writer_.reset();
+    index_.reset();
     std::filesystem::remove_all(dir_);
   }
 
   void StartServer(ServerOptions options = {}) {
-    server_ = std::make_unique<VistServer>(rig_->engine, rig_->writer.get(),
+    server_ = std::make_unique<VistServer>(index_.get(), writer_.get(),
                                            options);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -106,19 +98,13 @@ class FaultTransportTest : public ::testing::TestWithParam<EngineKind> {
   }
 
   std::string dir_;
-  std::unique_ptr<EngineRig> rig_;
+  std::unique_ptr<VistIndex> index_;
+  std::unique_ptr<VistIndexWriter> writer_;
   std::unique_ptr<VistServer> server_;
   std::unique_ptr<FaultInjectionTransport> proxy_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, FaultTransportTest,
-    ::testing::Values(EngineKind::kVist, EngineKind::kRouter),
-    [](const ::testing::TestParamInfo<EngineKind>& info) {
-      return EngineKindName(info.param);
-    });
-
-TEST_P(FaultTransportTest, ConnectTimesOutInsteadOfHanging) {
+TEST_F(FaultTransportTest, ConnectTimesOutInsteadOfHanging) {
   // A listener whose accept queue is full drops further SYNs, so the next
   // connect sits in SYN-SENT until it times out — the exact hang the
   // poll-based connect exists to bound.
@@ -141,7 +127,7 @@ TEST_P(FaultTransportTest, ConnectTimesOutInsteadOfHanging) {
   EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
-TEST_P(FaultTransportTest, CallTimeoutPoisonsConnectionAndReconnects) {
+TEST_F(FaultTransportTest, CallTimeoutPoisonsConnectionAndReconnects) {
   Gate gate;
   ServerOptions options;
   options.num_workers = 1;
@@ -173,7 +159,7 @@ TEST_P(FaultTransportTest, CallTimeoutPoisonsConnectionAndReconnects) {
   EXPECT_EQ((*client)->reconnects(), 1u);
 }
 
-TEST_P(FaultTransportTest, ServerShedsQueuedWorkPastItsDeadline) {
+TEST_F(FaultTransportTest, ServerShedsQueuedWorkPastItsDeadline) {
   Gate gate;
   ServerOptions options;
   options.num_workers = 1;
@@ -219,7 +205,7 @@ TEST_P(FaultTransportTest, ServerShedsQueuedWorkPastItsDeadline) {
   EXPECT_EQ(obs::GetCounter("server.shed").value(), shed_before + 1);
 }
 
-TEST_P(FaultTransportTest, RetryBudgetBoundsAttemptsAgainstADeadServer) {
+TEST_F(FaultTransportTest, RetryBudgetBoundsAttemptsAgainstADeadServer) {
   StartServer();
   ClientOptions copts;
   copts.max_attempts = 10;
@@ -243,7 +229,7 @@ TEST_P(FaultTransportTest, RetryBudgetBoundsAttemptsAgainstADeadServer) {
   EXPECT_LE((*client)->retries(), 2u);
 }
 
-TEST_P(FaultTransportTest, BusyResponsesAreRetriedUntilCapacityFrees) {
+TEST_F(FaultTransportTest, BusyResponsesAreRetriedUntilCapacityFrees) {
   Gate gate;
   ServerOptions options;
   options.num_workers = 1;
@@ -287,7 +273,7 @@ TEST_P(FaultTransportTest, BusyResponsesAreRetriedUntilCapacityFrees) {
   ASSERT_TRUE(final_resp.ok());
 }
 
-TEST_P(FaultTransportTest, WriteErrorMidDrainStillCountsAsDrained) {
+TEST_F(FaultTransportTest, WriteErrorMidDrainStillCountsAsDrained) {
   // Regression: a response write that fails during the shutdown drain
   // (peer already reset) must bump server.write_errors AND still count
   // the request as drained — the drain loop may not wedge or miscount.
@@ -329,7 +315,7 @@ TEST_P(FaultTransportTest, WriteErrorMidDrainStillCountsAsDrained) {
   EXPECT_EQ(obs::GetCounter("server.drained").value(), drained_before + 1);
 }
 
-TEST_P(FaultTransportTest, ClientRidesOutInjectedResets) {
+TEST_F(FaultTransportTest, ClientRidesOutInjectedResets) {
   StartServer();
   FaultInjectionOptions faults;
   faults.reset_probability = 0.0;  // flipped below, deterministically
